@@ -7,7 +7,7 @@
 DUNE ?= dune
 DHPFC = $(DUNE) exec bin/dhpfc.exe --
 
-.PHONY: all check test resilience fuzz bench bench-smoke bench-run bench-run-smoke bench-par-smoke bench-native-smoke bench-native bench-serve bench-serve-smoke serve-obs-smoke metrics-smoke fmt fmt-check clean
+.PHONY: all check test resilience fuzz bench bench-smoke bench-run bench-run-smoke bench-par-smoke bench-native-smoke bench-native bench-serve bench-serve-smoke serve-obs-smoke metrics-smoke stackbench-smoke fmt fmt-check clean
 
 all:
 	$(DUNE) build
@@ -84,6 +84,17 @@ metrics-smoke:
 	$(DHPFC) run tomcatv -p 4 --check-comm > /dev/null
 	$(DHPFC) run erlebacher -p 4 --check-comm > /dev/null
 	$(DHPFC) run jacobi -p 4 --check-comm --faults 1 > /dev/null
+
+# Stack-benchmark smoke: one short sim-fig7 run of the stack benchmark,
+# built from source — the Figure-7 set-up validated against the serial
+# oracle, then timed closure-engine runs — failing unless the run exits 0
+# and reports "correct": true. Guards the benchmark and the oracle
+# against bit-rot.
+stackbench-smoke:
+	mkdir -p .stackbench
+	bash stackbench/run.sh --workload sim-fig7 --seed 1 --seconds 1 --trace 0 > .stackbench/smoke.out
+	@grep -q '"correct": true' .stackbench/smoke.out || \
+	  { echo 'stackbench-smoke: no "correct": true in the run report' >&2; cat .stackbench/smoke.out >&2; exit 1; }
 
 test: check
 

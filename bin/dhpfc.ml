@@ -82,6 +82,9 @@ let handle_errors f =
   | Spmdsim.Exec.Deadlock d ->
       Fmt.epr "%a" Spmdsim.Exec.pp_diagnostic d;
       exit exit_runtime
+  | Iset.Conj.Too_hard ->
+      Fmt.epr "unsupported: integer-set problem too hard for the Omega test@.";
+      exit exit_unsupported
   | Spmdsim.Predict.Unpredictable msg ->
       Fmt.epr "unsupported: communication volume not predictable: %s@." msg;
       exit exit_unsupported

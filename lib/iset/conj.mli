@@ -15,6 +15,11 @@ exception Inexact_negation
     when a residual existential is not in window form; does not occur for
     the set class the compiler produces. *)
 
+exception Too_hard
+(** Raised by the satisfiability test (and every operation built on it)
+    when the Omega test runs out of its fixed fuel before deciding; a
+    limitation of the analysis, not an error in its input. *)
+
 val true_ : t
 val make : n_ex:int -> Constr.t list -> t
 val constraints : t -> Constr.t list

@@ -41,15 +41,18 @@ let init_env () =
 
 (* -- metrics -------------------------------------------------------- *)
 
-let m_hits = lazy (Obs.Metrics.counter "diskcache/hits")
-let m_misses = lazy (Obs.Metrics.counter "diskcache/misses")
-let m_evictions = lazy (Obs.Metrics.counter "diskcache/evictions")
-let m_bytes = lazy (Obs.Metrics.gauge "diskcache/bytes")
+(* Metric cells are looked up at each use, under the registry's lock:
+   safe from concurrent domains (forcing one shared [lazy] from two
+   domains raises [CamlinternalLazy.Undefined]), and a cell dropped by
+   [Obs.Metrics.reset] is simply registered again. *)
+let incr_metric name =
+  if Obs.Metrics.enabled () then Obs.Metrics.incr (Obs.Metrics.counter name)
 
 let note_bytes () =
   if Obs.Metrics.enabled () then
     let b = Atomic.get bytes_ref in
-    if b >= 0 then Obs.Metrics.set (Lazy.force m_bytes) (float_of_int b)
+    if b >= 0 then
+      Obs.Metrics.set (Obs.Metrics.gauge "diskcache/bytes") (float_of_int b)
 
 (* -- filesystem helpers --------------------------------------------- *)
 
@@ -246,8 +249,7 @@ let gc () =
                     remaining := !remaining - sz;
                     incr removed;
                     Stats.bump Stats.disk_evictions;
-                    if Obs.Metrics.enabled () then
-                      Obs.Metrics.incr (Lazy.force m_evictions)
+                    incr_metric "diskcache/evictions"
                   with Sys_error _ -> ()))
               files;
             Atomic.set bytes_ref !remaining;
@@ -313,21 +315,18 @@ let find ~kind key =
       let path = entry_path root ~kind key in
       match read_file path with
       | None ->
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.incr (Lazy.force m_misses);
+          incr_metric "diskcache/misses";
           None
       | Some bytes -> (
           match decode_entry ~kind key bytes with
           | Some v ->
               Stats.bump Stats.disk_hits;
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.incr (Lazy.force m_hits);
+              incr_metric "diskcache/hits";
               (* refresh the entry's age so eviction approximates LRU *)
               (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
               Some v
           | None ->
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.incr (Lazy.force m_misses);
+              incr_metric "diskcache/misses";
               (* a readable file that fails to decode is a cache fault
                  (corruption or digest collision), not a routine miss *)
               if Obs.Log.enabled Obs.Log.Warn then

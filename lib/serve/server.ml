@@ -160,6 +160,8 @@ let classify = function
   | Spmdsim.Exec.Deadlock d ->
       ("runtime", Format.asprintf "%a" Spmdsim.Exec.pp_diagnostic d)
   | Spmdsim.Predict.Unpredictable msg -> ("unsupported", msg)
+  | Iset.Conj.Too_hard ->
+      ("unsupported", "integer-set problem too hard for the Omega test")
   | e -> ("runtime", Printexc.to_string e)
 
 let source_text st ~label ~source =
@@ -460,7 +462,8 @@ let handle st fd ~admitted =
   (match resp with
   | None -> ()
   | Some (r, rid) ->
-      (try Proto.write_json fd r with _ -> ());
+      (* account for the request before replying, so a client holding
+         the reply finds it in stats and flight dumps *)
       Atomic.incr st.served;
       let status =
         Option.value (Jsonx.get_str r "status") ~default:"error"
@@ -485,6 +488,7 @@ let handle st fd ~admitted =
               ("service_s", Obs.Float service_s);
             ]
           "serve.request";
+      (try Proto.write_json fd r with _ -> ());
       if Obs.Log.enabled Obs.Log.Info then
         Obs.Log.info ~rid
           ~fields:(fun () ->

@@ -69,6 +69,11 @@ exception Bind_error of string
     an existing non-socket file, or bind/listen failed. The CLI maps
     this to its own exit code. *)
 
+val classify : exn -> string * string
+(** The error code and message a request failure is answered with:
+    [parse], [semantic], [unsupported] (including an Omega test that ran
+    out of fuel) or [runtime]. *)
+
 type t
 
 val launch : config -> t

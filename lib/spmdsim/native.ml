@@ -141,29 +141,30 @@ let include_dirs () =
             "native engine: cannot locate the dune build tree from %s (set DHPF_NATIVE_INCLUDES to the library include directories)"
             Sys.executable_name)
 
-(* interface digests of the libraries the kernel compiles against: part of
-   the cache key, so an .ml-identical kernel never links against cmis it
-   was not built with *)
-let lib_cmi_digests dirs =
-  List.filter_map
+(* digests of every compiled unit (.cmi and .cmx) the kernel compiles
+   against: part of the cache key, so an .ml-identical kernel never links
+   against units it was not built with. Every member unit counts, not just
+   a library's wrapper: the wrapper's cmi holds only module aliases and
+   does not change when a member's interface or implementation does, which
+   dynlink would then reject as a mismatch. *)
+let lib_unit_digests dirs =
+  List.concat_map
     (fun dir ->
-      let objs = Filename.basename (Filename.dirname dir) in
-      if
-        String.length objs > 6
-        && objs.[0] = '.'
-        && Filename.check_suffix objs ".objs"
-      then
-        let name = String.sub objs 1 (String.length objs - 6) in
-        let cmi = Filename.concat dir (name ^ ".cmi") in
-        if Sys.file_exists cmi then Some (Digest.to_hex (Digest.file cmi))
-        else None
-      else None)
+      match Sys.readdir dir with
+      | names ->
+          Array.sort compare names;
+          Array.to_list names
+          |> List.filter (fun n ->
+                 Filename.check_suffix n ".cmi" || Filename.check_suffix n ".cmx")
+          |> List.map (fun n ->
+                 n ^ ":" ^ Digest.to_hex (Digest.file (Filename.concat dir n)))
+      | exception Sys_error _ -> [])
     dirs
 
 let cache_key ~dirs src =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00" (src :: Sys.ocaml_version :: lib_cmi_digests dirs)))
+       (String.concat "\x00" (src :: Sys.ocaml_version :: lib_unit_digests dirs)))
 
 (* unique-temp-plus-atomic-rename, shared with the analysis disk cache:
    concurrent servers building the same kernel can never expose a torn

@@ -4,14 +4,33 @@
     directives, and accounts time with the computation part of the
     {!Machine} cost model. It is both the T(1) baseline of the Figure 7
     speedups and the correctness oracle the test suite compares compiled
-    SPMD executions against. *)
+    SPMD executions against.
+
+    Each {!run} is staged: names are resolved to slots (one per
+    loop-variable name, so [call]ed subroutines see their caller's loop
+    variables; one per scalar; one bounds-and-strides record per array)
+    and every expression and statement becomes a closure, before anything
+    executes. Staging never raises: each error is raised when the code
+    that meets it runs, with the same text as a direct tree-walk would
+    give. Flop counts and order, hence [r_flops], [r_time] and every
+    element, are those of the source program executed in order.
+
+    The oracle shares no lowering with the engines it checks ({!Compile},
+    {!Exec}): a bug in a shared closure builder would agree with itself.
+    {!intrinsic} is the one piece they take from here. *)
 
 exception Error of string
 
 type state
 
 val eval_iexpr : state -> Hpf.Ast.iexpr -> int
+(** Evaluate an integer expression against a finished run's parameters
+    (e.g. array bounds). *)
+
 val intrinsic : string -> float list -> float
+(** The floating-point intrinsics (abs, sqrt, exp, log, sin, cos, float,
+    max, min, mod, sign), shared with the SPMD engines.
+    @raise Error on an unknown name or arity. *)
 
 type result = {
   r_time : float;  (** modeled serial execution time *)
@@ -21,7 +40,12 @@ type result = {
 
 val run :
   ?machine:Machine.t -> ?params:(string * int) list -> Hpf.Sema.checked -> result
-(** Execute a checked program; [params] binds symbolic program parameters. *)
+(** Execute a checked program; [params] binds symbolic program parameters.
+    @raise Error on a runtime fault (bounds, unbound name, unknown array,
+    subroutine or intrinsic). *)
 
 val get_elem : result -> string -> int list -> float
+(** One element, bounds-checked, in O(rank). @raise Error. *)
+
 val get_scalar : result -> string -> float
+(** @raise Not_found for a name that is not a declared or assigned scalar. *)

@@ -274,6 +274,149 @@ end
   Alcotest.(check (float 1e-9)) "subroutine ran" 6.0 (Spmdsim.Serial.get_elem r "a" [ 4 ]);
   Alcotest.(check (float 1e-9)) "if took then-branch" 1.0 (Spmdsim.Serial.get_scalar r "s")
 
+(* ---- serial oracle regressions ----
+
+   The oracle is a staged interpreter: names resolve to slots and the AST
+   to closures before anything runs. These cases pin what staging must
+   not change: flop counts, time bits and element bits on the paper-scale
+   programs, error texts, the dynamic scope of loop variables, and errors
+   raised only by code that runs. *)
+
+let bits x = Int64.to_string (Int64.bits_of_float x)
+
+(* every element (arrays in name order, column-major) and every scalar of
+   a serial run, as float bits *)
+let serial_digest (chk : Hpf.Sema.checked) (r : Spmdsim.Serial.result) =
+  let b = Buffer.create 4096 in
+  let ev = Spmdsim.Serial.eval_iexpr r.r_state in
+  let arrays =
+    Hashtbl.fold
+      (fun n (ai : Hpf.Sema.array_info) acc ->
+        (n, List.map (fun (lo, hi) -> (ev lo, ev hi)) ai.adims) :: acc)
+      chk.env.arrays []
+    |> List.sort compare
+  in
+  List.iter
+    (fun (n, bounds) ->
+      Buffer.add_string b n;
+      let rec go idx = function
+        | [] ->
+            Buffer.add_string b (bits (Spmdsim.Serial.get_elem r n (List.rev idx)));
+            Buffer.add_char b ' '
+        | (lo, hi) :: rest ->
+            for x = lo to hi do
+              go (x :: idx) rest
+            done
+      in
+      go [] bounds)
+    arrays;
+  Hashtbl.fold (fun n _ acc -> n :: acc) chk.env.scalars []
+  |> List.sort compare
+  |> List.iter (fun n ->
+         Printf.bprintf b "%s=%s " n (bits (Spmdsim.Serial.get_scalar r n)));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* the Table-1 / Figure-7 programs at benchmark scale *)
+let test_serial_pinned () =
+  List.iter
+    (fun (name, src, flops, time_bits, digest) ->
+      let chk = Hpf.Sema.analyze_source src in
+      let r = Spmdsim.Serial.run chk in
+      Alcotest.(check int) (name ^ " flops") flops r.r_flops;
+      Alcotest.(check int64) (name ^ " time bits") time_bits
+        (Int64.bits_of_float r.r_time);
+      Alcotest.(check string) (name ^ " element bits") digest (serial_digest chk r))
+    [
+      ( "SP-4", Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Fixed (2, 2)) (),
+        10181217, 4592000760677145434L, "1ca7c2a716db0d403aa90d4aafa0d461" );
+      ( "TOMCATV-257", Codes.tomcatv ~n:257 ~iters:3 ~procs:(Codes.Symbolic2 1) (),
+        19324967, 4596130573424947195L, "b69d5c9a4558dacbd6106d59491421f9" );
+      ( "ERLEBACHER-40", Codes.erlebacher ~n:40 ~iters:2 ~procs:(Codes.Symbolic2 1) (),
+        4731560, 4586979717628716398L, "12fdd454e92ca7809a32ec67c29544b2" );
+      ( "JACOBI-384", Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) (),
+        12858544, 4593800799007889594L, "2672c106afb440abab5ddc962ed848d3" );
+    ]
+
+let serial_src body =
+  Printf.sprintf
+    "program t\n  parameter n = 4\n  real a(n), c(n,0:n)\n  real s, u\n%s\nend\n" body
+
+let check_serial_error what want src =
+  match Spmdsim.Serial.run (Hpf.Sema.analyze_source src) with
+  | _ -> Alcotest.failf "%s: no error" what
+  | exception Spmdsim.Serial.Error msg -> Alcotest.(check string) what want msg
+
+let test_serial_bounds_errors () =
+  check_serial_error "out-of-bounds read"
+    "index 5 out of bounds [0,4] in dimension 2"
+    (serial_src "  do i = 1, n\n    s = c(i, i+1)\n  end do");
+  check_serial_error "out-of-bounds write"
+    "index 0 out of bounds [1,4] in dimension 1"
+    (serial_src "  do i = 1, n\n    a(i-1) = 1.0\n  end do")
+
+(* [k] is a run-time parameter and a loop variable: inside the loop it
+   reads the loop value (in float context), after the loop the parameter *)
+let test_serial_loop_var_shadows_param () =
+  let chk =
+    Hpf.Sema.analyze_source (serial_src "  do k = 1, 3\n    s = k\n  end do\n  u = k")
+  in
+  let r = Spmdsim.Serial.run ~params:[ ("k", 7) ] chk in
+  Alcotest.(check (float 0.0)) "float-context loop variable" 3.0
+    (Spmdsim.Serial.get_scalar r "s");
+  Alcotest.(check (float 0.0)) "parameter after the loop" 7.0
+    (Spmdsim.Serial.get_scalar r "u");
+  match Spmdsim.Serial.run chk with
+  | _ -> Alcotest.fail "unbound name after the loop read"
+  | exception Spmdsim.Serial.Error msg ->
+      Alcotest.(check string) "no parameter" "unbound integer name k" msg
+
+let test_serial_loop_var_in_callee () =
+  let src =
+    serial_src "  do i = 1, n\n    call put\n  end do"
+    ^ "subroutine put\n  a(i) = i * 2.0\n  c(i, 0) = float(i) + s\nend\n"
+  in
+  let r = Spmdsim.Serial.run (Hpf.Sema.analyze_source src) in
+  List.iter
+    (fun i ->
+      let x = 2.0 *. float_of_int i in
+      Alcotest.(check (float 0.0)) "callee reads caller's loop variable" x
+        (Spmdsim.Serial.get_elem r "a" [ i ]);
+      Alcotest.(check (float 0.0)) "float intrinsic" (x /. 2.0)
+        (Spmdsim.Serial.get_elem r "c" [ i; 0 ]))
+    [ 1; 2; 3; 4 ]
+
+(* errors belong to the code that runs: a bad reference on a branch never
+   taken is harmless, and raises once the branch is taken *)
+let test_serial_errors_only_when_run () =
+  let guarded taken stmt =
+    let chk = Hpf.Sema.analyze_source (serial_src "  s = 1.0") in
+    let cond = Hpf.Ast.CCmp (FRef ("s", []), Lt, FNum (if taken then 2.0 else 0.0)) in
+    let body = [ Hpf.Ast.SIf { cond; then_ = [ stmt ]; else_ = [] } ] in
+    let prog =
+      { Hpf.Ast.units =
+          List.map (fun (u : Hpf.Ast.unit_) -> { u with body = u.body @ body }) chk.prog.units }
+    in
+    Spmdsim.Serial.run { chk with prog }
+  in
+  let assign rhs = Hpf.Ast.SAssign { lhs = ("u", []); rhs; on_home = None; line = 0 } in
+  let bad =
+    [
+      ("unknown array nosuch", assign (FRef ("nosuch", [ INum 1 ])));
+      ("index 9 out of bounds [1,4] in dimension 1", assign (FRef ("a", [ INum 9 ])));
+      ("unbound integer name zz", assign (FInt (IName "zz")));
+      ("unknown intrinsic frob/1", assign (FCall ("frob", [ FNum 1.0 ])));
+      ("unknown subroutine nosub", Hpf.Ast.SCall ("nosub", 0));
+    ]
+  in
+  List.iter
+    (fun (want, stmt) ->
+      let r = guarded false stmt in
+      Alcotest.(check (float 0.0)) ("untaken: " ^ want) 1.0 (Spmdsim.Serial.get_scalar r "s");
+      match guarded true stmt with
+      | _ -> Alcotest.failf "taken: %s did not raise" want
+      | exception Spmdsim.Serial.Error msg -> Alcotest.(check string) "taken" want msg)
+    bad
+
 (* ---- engine-differential property ----
 
    Random small stencil programs (random distributions, alignments and
@@ -398,5 +541,13 @@ let () =
         [
           Alcotest.test_case "interpreter" `Quick test_serial_interpreter;
           Alcotest.test_case "subroutines and if" `Quick test_serial_subroutines_and_if;
+          Alcotest.test_case "pinned flops, time and elements" `Quick test_serial_pinned;
+          Alcotest.test_case "bounds error text" `Quick test_serial_bounds_errors;
+          Alcotest.test_case "loop variable shadows a parameter" `Quick
+            test_serial_loop_var_shadows_param;
+          Alcotest.test_case "loop variable read in a callee" `Quick
+            test_serial_loop_var_in_callee;
+          Alcotest.test_case "errors raised only when run" `Quick
+            test_serial_errors_only_when_run;
         ] );
     ]

@@ -192,6 +192,17 @@ let test_bad_engine () =
             engine = "quantum";
           }))
 
+(* failures triage into the codes clients branch on; an Omega test out of
+   fuel is a limitation of the analysis, not a runtime fault *)
+let test_classify () =
+  Alcotest.(check (pair string string))
+    "omega fuel"
+    ("unsupported", "integer-set problem too hard for the Omega test")
+    (Server.classify Iset.Conj.Too_hard);
+  Alcotest.(check string)
+    "untyped exceptions" "runtime"
+    (fst (Server.classify Not_found))
+
 let test_protocol_errors () =
   with_server @@ fun socket ->
   (* a syntactically valid request with an op no constructor produces *)
@@ -672,6 +683,7 @@ let () =
           Alcotest.test_case "bad source text" `Quick test_bad_source_text;
           Alcotest.test_case "bad engine" `Quick test_bad_engine;
           Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
+          Alcotest.test_case "classification" `Quick test_classify;
         ] );
       ( "lifecycle",
         [
