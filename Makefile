@@ -13,7 +13,7 @@ all:
 	$(DUNE) build
 
 check:
-	$(DUNE) build && $(DUNE) runtest && $(MAKE) bench-smoke && $(MAKE) bench-run-smoke && $(MAKE) bench-par-smoke && $(MAKE) bench-native-smoke && $(MAKE) bench-serve-smoke && $(MAKE) serve-obs-smoke && $(MAKE) metrics-smoke
+	$(DUNE) build && $(DUNE) runtest && $(MAKE) bench-smoke && $(MAKE) bench-run-smoke && $(MAKE) stackbench-smoke && $(MAKE) bench-par-smoke && $(MAKE) bench-native-smoke && $(MAKE) bench-serve-smoke && $(MAKE) serve-obs-smoke && $(MAKE) metrics-smoke
 
 # Fast Table-1 subset with the bench's JSON emitter; fails if the
 # integer-set caches record zero hits (i.e. the memoization layer is
@@ -26,12 +26,12 @@ bench:
 
 # Fast Figure-7 runtime subset: runs each workload under both execution
 # engines, fails if their counters disagree or if the closure engine is
-# not faster than the interpreter.
+# not faster than the interpreter. `bench-run` regenerates BENCH_run.json.
 bench-run-smoke:
 	$(DUNE) exec bench/main.exe -- run-smoke
 
 bench-run:
-	$(DUNE) exec bench/main.exe -- run-json
+	$(DUNE) exec bench/main.exe -- run-json > BENCH_run.json
 
 # Domain-parallel smoke: the sharded-lane scheduler must stay bit-identical
 # to the sequential one (always checked), and on hosts with >= 2 cores the

@@ -1,22 +1,33 @@
-(* Closure-compiling SPMD execution engine (the default behind
+(* Closure-generating SPMD execution engine (the default behind
    [Exec.make ~engine:`Closure]).
 
    The interpreter in {!Exec} re-matches the [Spmd] AST and resolves every
    name through [Hashtbl.find_opt] on every loop iteration, and keeps every
    array element in a per-processor [(int, float) Hashtbl.t]. This engine
-   removes both costs with a one-time lowering pass per program:
+   removes both costs:
 
-   - every [stmt]/[fexpr]/[expr] tree becomes an OCaml closure over a small
-     per-processor state record, with integer names (loop variables, [m$k],
-     [vm$k]) resolved to slots of an [int array] and replicated scalars to
-     slots of a [float array] once, at compile time; global parameters fold
-     into compile-time constants (so most loop bounds and strides are
-     literals inside the closures);
+   - the program is lowered once, by {!Imp.lower} — the one SPMD lowering,
+     shared with the native engine — which resolves integer names to slots
+     of an [int array], replicated scalars to slots of a [float array] and
+     arrays to store ids, folds global parameters into constants and proves
+     subscripts in bounds; this module then turns each [Imp] node into an
+     OCaml closure over a small per-processor state record;
    - each processor's owned section of a distributed array is a dense
      [float array] block, addressed through per-dimension ownership tables
      built at setup from the layout descriptors — exact for block, cyclic
      and block-cyclic distributions under any alignment stride — with a
      small side hashtable only for received non-local (halo) values.
+
+   The generated hot path allocates nothing. The clock lives in a
+   float-only cell; an access closure returns the dense slot as an int and
+   leaves the global linear index in [r_enc] for the miss path; float
+   expressions are evaluated destination-passing into a per-processor
+   register file ([r_regs], sized from the kernel's deepest expression, so
+   sharded lanes on different domains never share one); [slot + c]
+   subscripts are read inline; dimensions [Imp] proved in bounds are not
+   checked; intrinsics are resolved when the closures are generated (by
+   matching on {!Serial.intrinsic_op}'s constructors); and
+   sequences, conjunctions and max/min loop over arrays.
 
    The transport and scheduler are {!Runtime}'s, shared verbatim with the
    interpreter, and clock charges are issued in exactly the interpreter's
@@ -47,6 +58,7 @@ type store = {
   st_owned : bool;
       (* false: a FixedCoord layout dimension excludes this processor from
          holding any owned block *)
+  st_dense : bool;  (* owned with a non-empty dense block *)
   st_dmaps : int array array;
       (* per data dimension: (x - lo_d) -> local index, or -1 if this
          processor does not own that coordinate *)
@@ -61,7 +73,7 @@ let st_sparse st = st.st_data == [||] && st.st_owned
 
 (* decode a global linear index into the dense slot, or -1 if not owned *)
 let slot_of_enc (st : store) (enc : int) : int =
-  if not st.st_owned || st.st_data == [||] then -1
+  if not st.st_dense then -1
   else begin
     let ext = st.st_am.Runtime.am_ext in
     let nd = Array.length ext in
@@ -103,306 +115,45 @@ let owns_enc (st : store) enc =
 (* Per-processor runtime state                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* all-float record: the field is stored flat, so a clock update is an
+   unboxed store *)
+type clock = { mutable c : float }
+
 type rt = {
   r_pid : int;
-  r_int : int array;  (* integer slots: loop vars, m$k, vm$k *)
+  r_int : int array;  (* integer slots: loop vars, m$k, vm$k; then a 0 *)
   r_fval : float array;  (* replicated-scalar slots *)
   r_fvalid : bool array;
       (* mirrors the interpreter's fenv membership: a slot is readable as a
          scalar only after initialization (declared) or first assignment *)
   r_stores : store array;  (* indexed by array id *)
   r_packbufs : Runtime.packbuf array;  (* indexed by event id *)
-  mutable r_clock : float;
+  r_clk : clock;
   r_skew : float;
-  r_scratch : int array;  (* index scratch for arrays of rank > 3 *)
+  r_scratch : int array;  (* subscripts of the general access path *)
+  r_regs : float array;  (* float expression registers *)
+  mutable r_enc : int;  (* global linear index of the last access *)
 }
 
-let tick rt dt = rt.r_clock <- rt.r_clock +. (dt *. rt.r_skew)
+let[@inline] tick rt dt =
+  let c = rt.r_clk in
+  c.c <- c.c +. (dt *. rt.r_skew)
 
 (* ------------------------------------------------------------------ *)
-(* Compilation context                                                  *)
+(* Cold paths                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type cint = rt -> int
-type cfloat = rt -> float
-type cstmt = rt -> unit
-
-(* integer values: constants fold at compile time (global parameters are
-   fixed before lowering, so bounds like [n - 1] become literals) *)
-type cival = KConst of int | KDyn of cint
-
-type ctx = {
-  x_prog : Spmd.program;
-  x_genv : (string, int) Hashtbl.t;
-  x_machine : Machine.t;
-  x_tr : Runtime.transport;
-  x_extents : int array;
-  x_islots : (string, int) Hashtbl.t;
-  mutable x_nint : int;
-  x_fslots : (string, int) Hashtbl.t;
-  mutable x_nfloat : int;
-  x_arrays : (string, int) Hashtbl.t;  (* array name -> store id *)
-  x_ameta : Runtime.ameta array;  (* by store id *)
-  x_inplace : (int, unit) Hashtbl.t;
-  x_rect : (int, unit) Hashtbl.t;
-  x_subs : (string, cstmt Lazy.t) Hashtbl.t;
-  x_vm_slots : int array;  (* slot of vm$k per processor dimension *)
-  x_phys_of_vp : int list -> int;
-}
-
-let islot ctx name =
-  match Hashtbl.find_opt ctx.x_islots name with
-  | Some s -> s
-  | None ->
-      let s = ctx.x_nint in
-      ctx.x_nint <- s + 1;
-      Hashtbl.replace ctx.x_islots name s;
-      s
-
-let fslot ctx name =
-  match Hashtbl.find_opt ctx.x_fslots name with
-  | Some s -> s
-  | None ->
-      let s = ctx.x_nfloat in
-      ctx.x_nfloat <- s + 1;
-      Hashtbl.replace ctx.x_fslots name s;
-      s
-
-(* ------------------------------------------------------------------ *)
-(* Integer expressions                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let force = function KConst k -> fun _ -> k | KDyn f -> f
-
-let rec cexpr ctx (e : Spmd.expr) : cival =
-  let open Iset.Codegen in
-  match e with
-  | EInt k -> KConst k
-  | EVar s -> (
-      match Hashtbl.find_opt ctx.x_islots s with
-      | Some slot -> KDyn (fun rt -> rt.r_int.(slot))
-      | None -> (
-          match Hashtbl.find_opt ctx.x_genv s with
-          | Some v -> KConst v
-          | None ->
-              KDyn (fun rt -> errf "proc %d: unbound integer name %s" rt.r_pid s)))
-  | EAdd (a, b) -> (
-      match (cexpr ctx a, cexpr ctx b) with
-      | KConst x, KConst y -> KConst (x + y)
-      | KConst x, KDyn g -> KDyn (fun rt -> x + g rt)
-      | KDyn f, KConst y -> KDyn (fun rt -> f rt + y)
-      | KDyn f, KDyn g -> KDyn (fun rt -> f rt + g rt))
-  | ESub (a, b) -> (
-      match (cexpr ctx a, cexpr ctx b) with
-      | KConst x, KConst y -> KConst (x - y)
-      | KConst x, KDyn g -> KDyn (fun rt -> x - g rt)
-      | KDyn f, KConst y -> KDyn (fun rt -> f rt - y)
-      | KDyn f, KDyn g -> KDyn (fun rt -> f rt - g rt))
-  | EMul (k, a) -> (
-      match cexpr ctx a with
-      | KConst x -> KConst (k * x)
-      | KDyn f -> KDyn (fun rt -> k * f rt))
-  | EFloorDiv (a, k) -> (
-      match cexpr ctx a with
-      | KConst x -> KConst (Iset.Lin.fdiv x k)
-      | KDyn f -> KDyn (fun rt -> Iset.Lin.fdiv (f rt) k))
-  | ECeilDiv (a, k) -> (
-      match cexpr ctx a with
-      | KConst x -> KConst (Iset.Lin.cdiv x k)
-      | KDyn f -> KDyn (fun rt -> Iset.Lin.cdiv (f rt) k))
-  | EMax es ->
-      let cs = List.map (cexpr ctx) es in
-      if List.for_all (function KConst _ -> true | _ -> false) cs then
-        KConst
-          (List.fold_left
-             (fun m c -> match c with KConst k -> max m k | _ -> m)
-             min_int cs)
-      else
-        let fs = Array.of_list (List.map force cs) in
-        KDyn
-          (fun rt ->
-            let m = ref min_int in
-            Array.iter (fun f -> m := max !m (f rt)) fs;
-            !m)
-  | EMin es ->
-      let cs = List.map (cexpr ctx) es in
-      if List.for_all (function KConst _ -> true | _ -> false) cs then
-        KConst
-          (List.fold_left
-             (fun m c -> match c with KConst k -> min m k | _ -> m)
-             max_int cs)
-      else
-        let fs = Array.of_list (List.map force cs) in
-        KDyn
-          (fun rt ->
-            let m = ref max_int in
-            Array.iter (fun f -> m := min !m (f rt)) fs;
-            !m)
-  | EAlignUp (e, target, k) -> (
-      match (cexpr ctx e, cexpr ctx target, cexpr ctx k) with
-      | KConst x, KConst t, KConst k -> KConst (x + Iset.Lin.pmod (t - x) k)
-      | ce, ct, ck ->
-          let fe = force ce and ft = force ct and fk = force ck in
-          KDyn
-            (fun rt ->
-              let x = fe rt in
-              x + Iset.Lin.pmod (ft rt - x) (fk rt)))
-
-let cexpr_f ctx e = force (cexpr ctx e)
-
-let rec ccond ctx (c : Spmd.cond) : rt -> bool =
-  let open Iset.Codegen in
-  match c with
-  | CTrue -> fun _ -> true
-  | CGeq0 e -> (
-      match cexpr ctx e with
-      | KConst k ->
-          let b = k >= 0 in
-          fun _ -> b
-      | KDyn f -> fun rt -> f rt >= 0)
-  | CEq0 e -> (
-      match cexpr ctx e with
-      | KConst k ->
-          let b = k = 0 in
-          fun _ -> b
-      | KDyn f -> fun rt -> f rt = 0)
-  | CDivides (k, e) -> (
-      match cexpr ctx e with
-      | KConst x ->
-          let b = Iset.Lin.pmod x k = 0 in
-          fun _ -> b
-      | KDyn f -> fun rt -> Iset.Lin.pmod (f rt) k = 0)
-  | CAnd cs ->
-      let fs = List.map (ccond ctx) cs in
-      fun rt -> List.for_all (fun f -> f rt) fs
-  | COr cs ->
-      let fs = List.map (ccond ctx) cs in
-      fun rt -> List.exists (fun f -> f rt) fs
-  | CNot c ->
-      let f = ccond ctx c in
-      fun rt -> not (f rt)
-
-(* ------------------------------------------------------------------ *)
-(* Element addressing                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let access_name = function
-  | Spmd.Local -> "Local"
-  | Spmd.Overlay -> "Overlay"
-  | Spmd.Checked -> "Checked"
-  | Spmd.Global -> "Global"
+(* Shared with the kernels the native engine emits: generated source
+   inlines the hot access sequences but calls back here on a dense miss or
+   an illegal access, so halo lookups, sparse-array defaults and failure
+   messages stay identical across engines. *)
 
 let bounds_fail (am : Runtime.ameta) d x =
   let lo, hi = am.Runtime.am_bounds.(d) in
   errf "array %s: index %d outside [%d,%d] (dim %d)" am.Runtime.am_name x lo hi
     (d + 1)
 
-(* One compiled access site: evaluates the subscripts, bounds-checks them in
-   dimension order (matching the interpreter's [encode]), and produces the
-   dense slot (or -1) and the global linear index. Ranks 1-3 are specialized
-   to keep subscript values in registers; higher ranks use the per-processor
-   scratch buffer (subscript expressions are integer-only, so an access
-   cannot re-enter another access mid-computation). *)
-type addr = { a_slot : int; a_enc : int }
-
-let caddr ctx aid (idx : Spmd.expr list) : rt -> addr =
-  let am = ctx.x_ameta.(aid) in
-  let nd = Array.length am.Runtime.am_ext in
-  if List.length idx <> nd then
-    errf "array %s: %d subscripts for rank %d" am.Runtime.am_name
-      (List.length idx) nd;
-  let cidx = Array.of_list (List.map (cexpr_f ctx) idx) in
-  let lo d = fst am.Runtime.am_bounds.(d) in
-  let ext = am.Runtime.am_ext and str = am.Runtime.am_strides in
-  let check d x =
-    let u = x - lo d in
-    if u < 0 || u >= ext.(d) then bounds_fail am d x;
-    u
-  in
-  match nd with
-  | 1 ->
-      let i0 = cidx.(0) and lo0 = lo 0 and e0 = ext.(0) in
-      fun rt ->
-        let x0 = i0 rt in
-        let u0 = x0 - lo0 in
-        if u0 < 0 || u0 >= e0 then bounds_fail am 0 x0;
-        let st = rt.r_stores.(aid) in
-        let slot = if st.st_owned then st.st_dmaps.(0).(u0) else -1 in
-        { a_slot = (if st.st_data == [||] then -1 else slot); a_enc = u0 }
-  | 2 ->
-      let i0 = cidx.(0) and i1 = cidx.(1) in
-      let lo0 = lo 0 and lo1 = lo 1 in
-      let e0 = ext.(0) and e1 = ext.(1) in
-      let s1 = str.(1) in
-      fun rt ->
-        let x0 = i0 rt in
-        let x1 = i1 rt in
-        let u0 = x0 - lo0 in
-        if u0 < 0 || u0 >= e0 then bounds_fail am 0 x0;
-        let u1 = x1 - lo1 in
-        if u1 < 0 || u1 >= e1 then bounds_fail am 1 x1;
-        let st = rt.r_stores.(aid) in
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let l0 = st.st_dmaps.(0).(u0) and l1 = st.st_dmaps.(1).(u1) in
-            if l0 >= 0 && l1 >= 0 then l0 + (l1 * st.st_lstride.(1)) else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = u0 + (u1 * s1) }
-  | 3 ->
-      let i0 = cidx.(0) and i1 = cidx.(1) and i2 = cidx.(2) in
-      let lo0 = lo 0 and lo1 = lo 1 and lo2 = lo 2 in
-      let e0 = ext.(0) and e1 = ext.(1) and e2 = ext.(2) in
-      let s1 = str.(1) and s2 = str.(2) in
-      fun rt ->
-        let x0 = i0 rt in
-        let x1 = i1 rt in
-        let x2 = i2 rt in
-        let u0 = x0 - lo0 in
-        if u0 < 0 || u0 >= e0 then bounds_fail am 0 x0;
-        let u1 = x1 - lo1 in
-        if u1 < 0 || u1 >= e1 then bounds_fail am 1 x1;
-        let u2 = x2 - lo2 in
-        if u2 < 0 || u2 >= e2 then bounds_fail am 2 x2;
-        let st = rt.r_stores.(aid) in
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let l0 = st.st_dmaps.(0).(u0)
-            and l1 = st.st_dmaps.(1).(u1)
-            and l2 = st.st_dmaps.(2).(u2) in
-            if l0 >= 0 && l1 >= 0 && l2 >= 0 then
-              l0 + (l1 * st.st_lstride.(1)) + (l2 * st.st_lstride.(2))
-            else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = u0 + (u1 * s1) + (u2 * s2) }
-  | _ ->
-      fun rt ->
-        let u = rt.r_scratch in
-        for d = 0 to nd - 1 do
-          u.(d) <- check d (cidx.(d) rt)
-        done;
-        let st = rt.r_stores.(aid) in
-        let enc = ref 0 in
-        for d = 0 to nd - 1 do
-          enc := !enc + (u.(d) * str.(d))
-        done;
-        let slot =
-          if st.st_owned && st.st_data != [||] then begin
-            let s = ref 0 and ok = ref true in
-            for d = 0 to nd - 1 do
-              let l = st.st_dmaps.(d).(u.(d)) in
-              if l < 0 then ok := false else s := !s + (l * st.st_lstride.(d))
-            done;
-            if !ok then !s else -1
-          end
-          else -1
-        in
-        { a_slot = slot; a_enc = !enc }
-
-(* pretty-print the subscripts of an access for an error message (cold) *)
+(* pretty-print the subscripts of an access for an error message *)
 let idx_string (am : Runtime.ameta) enc =
   let nd = Array.length am.Runtime.am_ext in
   let parts = ref [] and rem = ref enc in
@@ -412,11 +163,6 @@ let idx_string (am : Runtime.ameta) enc =
     parts := string_of_int (u + fst am.Runtime.am_bounds.(d)) :: !parts
   done;
   String.concat "," (List.rev !parts)
-
-(* Cold paths, shared with the kernels the native engine emits: generated
-   source inlines the hot access sequences but calls back here on a dense
-   miss or an illegal access, so halo lookups, sparse-array defaults and
-   failure messages stay identical across engines. *)
 
 let load_miss (rt : rt) aid ~aname enc =
   let st = rt.r_stores.(aid) in
@@ -443,345 +189,579 @@ let local_store_fail (rt : rt) aid enc =
   errf "proc %d: Local store to non-owned %s(%s)" rt.r_pid
     st.st_am.Runtime.am_name (idx_string st.st_am enc)
 
+let bad_step (rt : rt) var =
+  errf "proc %d: non-positive loop step for %s" rt.r_pid var
+
+let unbound_int (rt : rt) name =
+  errf "proc %d: unbound integer name %s" rt.r_pid name
+
+let unknown_sub (rt : rt) f = errf "proc %d: unknown subroutine %s" rt.r_pid f
+
 (* ------------------------------------------------------------------ *)
-(* Float expressions                                                    *)
+(* Communication and collectives                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec cfexpr ctx (e : Spmd.fexpr) : cfloat =
-  let m = ctx.x_machine in
+type kctx = {
+  k_tr : Runtime.transport;
+  k_phys : int list -> int;
+  k_arrays : (string, int) Hashtbl.t;
+  k_vm_slots : int array;
+}
+
+let my_vp ctx (rt : rt) =
+  Array.to_list (Array.map (fun s -> rt.r_int.(s)) ctx.k_vm_slots)
+
+let do_send ctx (rt : rt) ~event ~inplace ~rect dest_vp =
+  let pl = Runtime.packbuf_flush rt.r_packbufs.(event) in
+  Runtime.send ctx.k_tr
+    ~tick:(fun dt -> tick rt dt)
+    ~get_clock:(fun () -> rt.r_clk.c)
+    ~pid:rt.r_pid ~dst_pid:(ctx.k_phys dest_vp) ~event ~src_vp:(my_vp ctx rt)
+    ~dst_vp:dest_vp ~inplace ~rect pl
+
+let do_recv ctx (rt : rt) ~event ~recv_o ~unpack src_vp =
+  let k = { Runtime.k_event = event; k_src = src_vp; k_dst = my_vp ctx rt } in
+  let t0 = rt.r_clk.c in
+  let msg = Effect.perform (Runtime.ERecv k) in
+  tick rt recv_o;
+  rt.r_clk.c <- Float.max rt.r_clk.c msg.Runtime.m_arrival;
+  let pl = msg.Runtime.m_payload in
+  let n = Array.length pl.Runtime.pl_idx in
+  if not msg.Runtime.m_contig then tick rt (float_of_int n *. unpack);
+  if n > 0 then begin
+    let st =
+      match Hashtbl.find_opt ctx.k_arrays pl.Runtime.pl_arr with
+      | Some aid -> rt.r_stores.(aid)
+      | None -> errf "unknown array %s" pl.Runtime.pl_arr
+    in
+    for i = 0 to n - 1 do
+      put_enc st pl.Runtime.pl_idx.(i) pl.Runtime.pl_val.(i)
+    done
+  end;
+  Runtime.trace_recv ctx.k_tr ~tid:rt.r_pid ~t0 ~t1:rt.r_clk.c k msg
+
+let do_reduce_arr name op = Effect.perform (Runtime.EReduceArr (name, op))
+
+let do_reduce_scalar (rt : rt) slot op =
+  let mine = if rt.r_fvalid.(slot) then rt.r_fval.(slot) else 0.0 in
+  let combined = Effect.perform (Runtime.EReduce (op, mine)) in
+  rt.r_fval.(slot) <- combined;
+  rt.r_fvalid.(slot) <- true
+
+(* ------------------------------------------------------------------ *)
+(* Closure generation from Imp                                          *)
+(* ------------------------------------------------------------------ *)
+
+type cstmt = rt -> unit
+
+(* primitives, not closures over them: type-specialized at each use, so
+   float array reads stay unboxed *)
+external get : 'a array -> int -> 'a = "%array_unsafe_get"
+external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* Integer expressions. Every slot index comes from Imp's slot tables,
+   below the size of [r_int] by construction. *)
+
+(* [slot + c] forms, read inline by access closures; constants read the
+   always-zero slot past Imp's slots *)
+let slot_plus ~zero (e : Imp.iexpr) =
   match e with
-  | Spmd.FConst x -> fun _ -> x
-  | Spmd.FOfInt ie -> (
-      match cexpr ctx ie with
-      | KConst k ->
-          let x = float_of_int k in
-          fun _ -> x
-      | KDyn f -> fun rt -> float_of_int (f rt))
-  | Spmd.FScalar s -> (
-      let fallback =
-        (* the interpreter falls back to the integer environment when a name
-           is absent from fenv (e.g. FScalar wrapping a loop variable) *)
-        match Hashtbl.find_opt ctx.x_islots s with
-        | Some slot -> fun rt -> float_of_int rt.r_int.(slot)
-        | None -> (
-            match Hashtbl.find_opt ctx.x_genv s with
-            | Some v ->
-                let x = float_of_int v in
-                fun _ -> x
-            | None ->
-                fun rt -> errf "proc %d: unbound integer name %s" rt.r_pid s)
+  | Imp.IConst k -> Some (zero, k)
+  | ISlot (s, _) -> Some (s, 0)
+  | IAdd (ISlot (s, _), IConst k) | IAdd (IConst k, ISlot (s, _)) -> Some (s, k)
+  | ISub (ISlot (s, _), IConst k) -> Some (s, -k)
+  | _ -> None
+
+let rec gi (e : Imp.iexpr) : rt -> int =
+  match e with
+  | Imp.IConst k -> fun _ -> k
+  | ISlot (s, _) -> fun rt -> get rt.r_int s
+  | IUnbound n -> fun rt -> unbound_int rt n
+  | IAdd (ISlot (s, _), IConst k) | IAdd (IConst k, ISlot (s, _)) ->
+      fun rt -> get rt.r_int s + k
+  | IAdd (a, b) ->
+      let a = gi a and b = gi b in
+      fun rt -> a rt + b rt
+  | ISub (a, b) ->
+      let a = gi a and b = gi b in
+      fun rt -> a rt - b rt
+  | IMul (k, a) ->
+      let a = gi a in
+      fun rt -> k * a rt
+  | IFloorDiv (a, k) ->
+      let a = gi a in
+      fun rt -> Iset.Lin.fdiv (a rt) k
+  | ICeilDiv (a, k) ->
+      let a = gi a in
+      fun rt -> Iset.Lin.cdiv (a rt) k
+  | IMax es ->
+      let fs = Array.of_list (List.map gi es) in
+      fun rt ->
+        let m = ref min_int in
+        for i = 0 to Array.length fs - 1 do
+          let v = get fs i rt in
+          if v > !m then m := v
+        done;
+        !m
+  | IMin es ->
+      let fs = Array.of_list (List.map gi es) in
+      fun rt ->
+        let m = ref max_int in
+        for i = 0 to Array.length fs - 1 do
+          let v = get fs i rt in
+          if v < !m then m := v
+        done;
+        !m
+  | IAlignUp (e, t, k) ->
+      let e = gi e and t = gi t and k = gi k in
+      fun rt ->
+        let x = e rt in
+        x + Iset.Lin.pmod (t rt - x) (k rt)
+
+(* conjunctions and disjunctions stop at the first deciding operand *)
+let rec gb (c : Imp.icond) : rt -> bool =
+  match c with
+  | Imp.BConst b -> fun _ -> b
+  | BGeq0 e ->
+      let e = gi e in
+      fun rt -> e rt >= 0
+  | BEq0 e ->
+      let e = gi e in
+      fun rt -> e rt = 0
+  | BDivides (k, e) ->
+      let e = gi e in
+      fun rt -> Iset.Lin.pmod (e rt) k = 0
+  | BAnd cs ->
+      let fs = Array.of_list (List.map gb cs) in
+      let n = Array.length fs in
+      fun rt ->
+        let i = ref 0 in
+        while !i < n && get fs !i rt do incr i done;
+        !i = n
+  | BOr cs ->
+      let fs = Array.of_list (List.map gb cs) in
+      let n = Array.length fs in
+      fun rt ->
+        let i = ref 0 in
+        while !i < n && not (get fs !i rt) do incr i done;
+        !i < n
+  | BNot c ->
+      let c = gb c in
+      fun rt -> not (c rt)
+
+(* Element addressing. An access closure evaluates the subscripts,
+   bounds-checks the dimensions Imp did not prove (in dimension order,
+   matching the interpreter's [encode]), stores the global linear index in
+   [r_enc] and returns the dense slot, or -1 off the dense block. Ranks 1-3
+   with [slot + c] subscripts in proven dimensions — 711 of the 735 access
+   sites of the Figure-7 programs — read the subscripts inline; the rest
+   (ERLEBACHER's [n - k] subscripts, say) and higher ranks go
+   through [r_scratch] (subscripts are integer-only, so an access cannot
+   re-enter another mid-computation). Ranks up to 3 evaluate every
+   subscript before checking; higher ranks check each as it is evaluated. *)
+let gaddr ~zero (ap : Imp.access_plan) : rt -> int =
+  let aid = ap.Imp.ap_aid and dims = ap.Imp.ap_dims in
+  let nd = Array.length dims in
+  let inline =
+    Array.map
+      (fun (da : Imp.dim_access) ->
+        match slot_plus ~zero da.Imp.da_idx with
+        | Some (s, k) when da.Imp.da_proven -> Some (s, k - da.Imp.da_lo)
+        | _ -> None)
+      dims
+  in
+  match inline with
+  | [| Some (s0, c0) |] ->
+      fun rt ->
+        let u0 = get rt.r_int s0 + c0 in
+        rt.r_enc <- u0;
+        let st = get rt.r_stores aid in
+        if st.st_dense then get (get st.st_dmaps 0) u0 else -1
+  | [| Some (s0, c0); Some (s1, c1) |] ->
+      let str1 = dims.(1).Imp.da_stride in
+      fun rt ->
+        let ri = rt.r_int in
+        let u0 = get ri s0 + c0 and u1 = get ri s1 + c1 in
+        rt.r_enc <- u0 + (u1 * str1);
+        let st = get rt.r_stores aid in
+        if st.st_dense then
+          let dm = st.st_dmaps in
+          let l0 = get (get dm 0) u0 and l1 = get (get dm 1) u1 in
+          if l0 >= 0 && l1 >= 0 then l0 + (l1 * get st.st_lstride 1) else -1
+        else -1
+  | [| Some (s0, c0); Some (s1, c1); Some (s2, c2) |] ->
+      let str1 = dims.(1).Imp.da_stride and str2 = dims.(2).Imp.da_stride in
+      fun rt ->
+        let ri = rt.r_int in
+        let u0 = get ri s0 + c0 and u1 = get ri s1 + c1 and u2 = get ri s2 + c2 in
+        rt.r_enc <- u0 + (u1 * str1) + (u2 * str2);
+        let st = get rt.r_stores aid in
+        if st.st_dense then
+          let dm = st.st_dmaps and ls = st.st_lstride in
+          let l0 = get (get dm 0) u0
+          and l1 = get (get dm 1) u1
+          and l2 = get (get dm 2) u2 in
+          if l0 >= 0 && l1 >= 0 && l2 >= 0 then
+            l0 + (l1 * get ls 1) + (l2 * get ls 2)
+          else -1
+        else -1
+  | _ ->
+      let idx = Array.map (fun (da : Imp.dim_access) -> gi da.Imp.da_idx) dims in
+      let check d x =
+        let da = get dims d in
+        let u = x - da.Imp.da_lo in
+        if (not da.Imp.da_proven) && (u < 0 || u >= da.Imp.da_ext) then
+          bounds_fail ap.Imp.ap_am d x;
+        u
       in
-      match Hashtbl.find_opt ctx.x_fslots s with
-      | Some slot ->
-          fun rt -> if rt.r_fvalid.(slot) then rt.r_fval.(slot) else fallback rt
-      | None -> fallback)
-  | Spmd.FLoad { arr; idx; access } -> (
-      let aid =
-        match Hashtbl.find_opt ctx.x_arrays arr with
-        | Some a -> a
-        | None -> errf "unknown array %s" arr
+      fun rt ->
+        let u = rt.r_scratch in
+        if nd <= 3 then begin
+          for d = 0 to nd - 1 do set u d (get idx d rt) done;
+          for d = 0 to nd - 1 do set u d (check d (get u d)) done
+        end
+        else for d = 0 to nd - 1 do set u d (check d (get idx d rt)) done;
+        let enc = ref 0 in
+        for d = 0 to nd - 1 do
+          enc := !enc + (get u d * (get dims d).Imp.da_stride)
+        done;
+        rt.r_enc <- !enc;
+        let st = get rt.r_stores aid in
+        if st.st_dense then begin
+          let s = ref 0 and ok = ref true in
+          for d = 0 to nd - 1 do
+            let l = get (get st.st_dmaps d) (get u d) in
+            if l < 0 then ok := false else s := !s + (l * get st.st_lstride d)
+          done;
+          if !ok then !s else -1
+        end
+        else -1
+
+(* Float expressions, destination-passing: the closure for a node at
+   register [d] leaves its value in [r_regs.(d)]; a binary node computes
+   its left operand into [d] and its right into [d + 1]. Operands run left
+   then right and each node charges its flop where the interpreter does
+   (FP arithmetic is not associative, so the shape is part of the
+   contract). *)
+let rec fregs (e : Imp.kfexpr) =
+  match e with
+  | Imp.KFConst _ | KFOfInt _ | KFScalar _ | KFLoad _ -> 1
+  | KFNeg a -> fregs a
+  | KFBin { a; b; _ } -> max (fregs a) (1 + fregs b)
+  | KFIntrin { args; _ } ->
+      List.fold_left max 1 (List.mapi (fun i a -> i + fregs a) args)
+
+let rec cregs (c : Imp.kfcond) =
+  match c with
+  | Imp.KFCmp (_, a, b) -> max (fregs a) (1 + fregs b)
+  | KFAnd (a, b) | KFOr (a, b) -> max (cregs a) (cregs b)
+  | KFNot a -> cregs a
+
+(* registers a whole kernel needs: its deepest expression *)
+let kernel_regs (k : Imp.kernel) =
+  let rec stmt n (s : Imp.kstmt) =
+    match s with
+    | Imp.KFor { body; _ } | KIf { body; _ } -> List.fold_left stmt n body
+    | KFIf { cond; then_; else_; _ } ->
+        List.fold_left stmt (List.fold_left stmt (max n (cregs cond)) then_) else_
+    | KSetScalar { value; _ } | KStore { value; _ } -> max n (fregs value)
+    | KPack _ | KSend _ | KRecv _ | KReduceArr _ | KReduceScalar _ | KCall _
+    | KUnknownSub _ ->
+        n
+  in
+  List.fold_left
+    (fun n (_, body) -> List.fold_left stmt n body)
+    (List.fold_left stmt 1 k.Imp.k_main)
+    k.Imp.k_subs
+
+let[@inline] load rt d aid ~aname s =
+  let r = rt.r_regs in
+  if s >= 0 then set r d (get (get rt.r_stores aid).st_data s)
+  else set r d (load_miss rt aid ~aname rt.r_enc)
+
+let rec gf ~zero d (e : Imp.kfexpr) : rt -> unit =
+  match e with
+  | Imp.KFConst x -> fun rt -> set rt.r_regs d x
+  | KFOfInt ie ->
+      let i = gi ie in
+      fun rt -> set rt.r_regs d (float_of_int (i rt))
+  | KFScalar { slot; fallback } -> (
+      let fb : rt -> unit =
+        match fallback with
+        | Imp.FbSlot (s, _) ->
+            fun rt -> set rt.r_regs d (float_of_int (get rt.r_int s))
+        | FbConst x -> fun rt -> set rt.r_regs d x
+        | FbUnbound n -> fun rt -> unbound_int rt n
       in
-      let addr = caddr ctx aid idx in
-      let flop = m.Machine.flop_time in
-      let checked = access = Spmd.Checked in
-      let check = m.Machine.check_time in
-      let aname = access_name access in
-      let miss rt (a : addr) = load_miss rt aid ~aname a.a_enc in
+      match slot with
+      | Some s ->
+          fun rt ->
+            if get rt.r_fvalid s then set rt.r_regs d (get rt.r_fval s) else fb rt
+      | None -> fb)
+  | KFLoad { ap; aname; checked; flop; check } ->
+      let addr = gaddr ~zero ap and aid = ap.Imp.ap_aid in
       if checked then fun rt ->
         tick rt flop;
-        let a = addr rt in
+        let s = addr rt in
         tick rt check;
-        if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-        else miss rt a
+        load rt d aid ~aname s
       else fun rt ->
         tick rt flop;
-        let a = addr rt in
-        if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-        else miss rt a)
-  | Spmd.FNeg a ->
-      let f = cfexpr ctx a in
-      fun rt -> -.f rt
-  | Spmd.FBin (op, a, b) -> (
-      let fa = cfexpr ctx a and fb = cfexpr ctx b in
-      let flop = m.Machine.flop_time in
+        load rt d aid ~aname (addr rt)
+  | KFNeg a ->
+      let a = gf ~zero d a in
+      fun rt ->
+        a rt;
+        let r = rt.r_regs in
+        set r d (-.get r d)
+  | KFBin { op; a; b; flop } -> (
+      let a = gf ~zero d a and b = gf ~zero (d + 1) b in
+      let e = d + 1 in
       match op with
       | Hpf.Ast.Add ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            a rt;
+            b rt;
             tick rt flop;
-            x +. y
-      | Hpf.Ast.Sub ->
+            let r = rt.r_regs in
+            set r d (get r d +. get r e)
+      | Sub ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            a rt;
+            b rt;
             tick rt flop;
-            x -. y
-      | Hpf.Ast.Mul ->
+            let r = rt.r_regs in
+            set r d (get r d -. get r e)
+      | Mul ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            a rt;
+            b rt;
             tick rt flop;
-            x *. y
-      | Hpf.Ast.Div ->
+            let r = rt.r_regs in
+            set r d (get r d *. get r e)
+      | Div ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
+            a rt;
+            b rt;
             tick rt flop;
-            x /. y)
-  | Spmd.FIntrin (f, args) ->
-      let cargs = List.map (cfexpr ctx) args in
-      let flop = m.Machine.flop_time in
-      fun rt ->
-        tick rt flop;
-        Serial.intrinsic f (List.map (fun g -> g rt) cargs)
+            let r = rt.r_regs in
+            set r d (get r d /. get r e))
+  | KFIntrin { name; args; flop } -> (
+      (* the interpreter charges an intrinsic before evaluating its
+         arguments *)
+      let args = Array.of_list (List.mapi (fun i a -> gf ~zero (d + i) a) args) in
+      let e = d + 1 in
+      let un f =
+        let a = args.(0) in
+        fun rt ->
+          tick rt flop;
+          a rt;
+          f rt.r_regs
+      in
+      let bin f =
+        let a = args.(0) and b = args.(1) in
+        fun rt ->
+          tick rt flop;
+          a rt;
+          b rt;
+          f rt.r_regs
+      in
+      match Serial.intrinsic_op name (Array.length args) with
+      | Some (Unary Abs) -> un (fun r -> set r d (Float.abs (get r d)))
+      | Some (Unary Sqrt) -> un (fun r -> set r d (sqrt (get r d)))
+      | Some (Unary Exp) -> un (fun r -> set r d (exp (get r d)))
+      | Some (Unary Log) -> un (fun r -> set r d (log (get r d)))
+      | Some (Unary Sin) -> un (fun r -> set r d (sin (get r d)))
+      | Some (Unary Cos) -> un (fun r -> set r d (cos (get r d)))
+      | Some (Unary Float) -> un ignore
+      | Some (Binary Max) -> bin (fun r -> set r d (Float.max (get r d) (get r e)))
+      | Some (Binary Min) -> bin (fun r -> set r d (Float.min (get r d) (get r e)))
+      | Some (Binary Mod) -> bin (fun r -> set r d (Float.rem (get r d) (get r e)))
+      | Some (Binary Sign) ->
+          bin (fun r ->
+              let x = Float.abs (get r d) in
+              set r d (if get r e >= 0.0 then x else -.x))
+      | None ->
+          (* unknown name or arity: Serial's error, after the arguments *)
+          fun rt ->
+            tick rt flop;
+            Array.iter (fun a -> a rt) args;
+            let vs = List.init (Array.length args) (fun i -> get rt.r_regs (d + i)) in
+            set rt.r_regs d (Serial.intrinsic name vs))
 
-let rec cfcond ctx (c : Spmd.fcond) : rt -> bool =
+let rec gc ~zero d (c : Imp.kfcond) : rt -> bool =
   match c with
-  | Spmd.FCmp (a, op, b) -> (
-      let fa = cfexpr ctx a and fb = cfexpr ctx b in
+  | Imp.KFCmp (op, a, b) -> (
+      let a = gf ~zero d a and b = gf ~zero (d + 1) b in
+      let e = d + 1 in
       match op with
       | Hpf.Ast.Lt ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x < y
-      | Hpf.Ast.Le ->
+            a rt;
+            b rt;
+            get rt.r_regs d < get rt.r_regs e
+      | Le ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x <= y
-      | Hpf.Ast.Gt ->
+            a rt;
+            b rt;
+            get rt.r_regs d <= get rt.r_regs e
+      | Gt ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x > y
-      | Hpf.Ast.Ge ->
+            a rt;
+            b rt;
+            get rt.r_regs d > get rt.r_regs e
+      | Ge ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x >= y
-      | Hpf.Ast.Eq ->
+            a rt;
+            b rt;
+            get rt.r_regs d >= get rt.r_regs e
+      | Eq ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x = y
-      | Hpf.Ast.Ne ->
+            a rt;
+            b rt;
+            get rt.r_regs d = get rt.r_regs e
+      | Ne ->
           fun rt ->
-            let x = fa rt in
-            let y = fb rt in
-            x <> y)
-  | Spmd.FAnd (a, b) ->
-      let ca = cfcond ctx a and cb = cfcond ctx b in
-      fun rt -> ca rt && cb rt
-  | Spmd.FOr (a, b) ->
-      let ca = cfcond ctx a and cb = cfcond ctx b in
-      fun rt -> ca rt || cb rt
-  | Spmd.FNot a ->
-      let ca = cfcond ctx a in
-      fun rt -> not (ca rt)
+            a rt;
+            b rt;
+            get rt.r_regs d <> get rt.r_regs e)
+  | KFAnd (a, b) ->
+      let a = gc ~zero d a and b = gc ~zero d b in
+      fun rt -> a rt && b rt
+  | KFOr (a, b) ->
+      let a = gc ~zero d a and b = gc ~zero d b in
+      fun rt -> a rt || b rt
+  | KFNot a ->
+      let a = gc ~zero d a in
+      fun rt -> not (a rt)
 
-(* ------------------------------------------------------------------ *)
-(* Statements                                                           *)
-(* ------------------------------------------------------------------ *)
+(* Statements *)
 
 let seq (fs : cstmt list) : cstmt =
   match fs with
   | [] -> fun _ -> ()
   | [ a ] -> a
-  | [ a; b ] ->
-      fun rt ->
-        a rt;
-        b rt
-  | [ a; b; c ] ->
-      fun rt ->
-        a rt;
-        b rt;
-        c rt
   | l ->
       let a = Array.of_list l in
-      fun rt -> Array.iter (fun f -> f rt) a
+      fun rt ->
+        for i = 0 to Array.length a - 1 do
+          get a i rt
+        done
 
-let my_vp ctx : rt -> int list =
-  let slots = ctx.x_vm_slots in
-  fun rt -> Array.to_list (Array.map (fun s -> rt.r_int.(s)) slots)
+let[@inline] store_put rt aid s x =
+  let st = get rt.r_stores aid in
+  if s >= 0 then set st.st_data s x else Hashtbl.replace st.st_side rt.r_enc x
 
-let rec cstmt ctx (s : Spmd.stmt) : cstmt =
-  let m = ctx.x_machine in
-  match s with
-  | Spmd.Comment _ -> fun _ -> ()
-  | Spmd.For { var; lo; hi; step; body } -> (
-      let clo = cexpr ctx lo and chi = cexpr ctx hi in
-      let cst = cexpr ctx step in
-      let slot = islot ctx var in
-      let cbody = cstmts ctx body in
-      let loopt = m.Machine.loop_time in
-      match cst with
-      | KConst 1 ->
-          let flo = force clo and fhi = force chi in
-          fun rt ->
-            let h = fhi rt in
-            let i = ref (flo rt) in
-            while !i <= h do
-              rt.r_int.(slot) <- !i;
-              tick rt loopt;
-              cbody rt;
-              incr i
-            done
-      | _ ->
-          let flo = force clo and fhi = force chi and fst = force cst in
-          fun rt ->
-            let l = flo rt and h = fhi rt in
-            let st = fst rt in
-            if st <= 0 then
-              errf "proc %d: non-positive loop step for %s" rt.r_pid var;
-            let i = ref l in
-            while !i <= h do
-              rt.r_int.(slot) <- !i;
-              tick rt loopt;
-              cbody rt;
-              i := !i + st
-            done)
-  | Spmd.If (c, body) ->
-      let cc = ccond ctx c in
-      let cbody = cstmts ctx body in
-      let guard = m.Machine.guard_time in
-      fun rt ->
-        tick rt guard;
-        if cc rt then cbody rt
-  | Spmd.FIf (c, t, e) ->
-      let cc = cfcond ctx c in
-      let ct = cstmts ctx t and ce = cstmts ctx e in
-      let guard = m.Machine.guard_time in
-      fun rt ->
-        tick rt guard;
-        if cc rt then ct rt else ce rt
-  | Spmd.SetScalar (name, v) ->
-      let cv = cfexpr ctx v in
-      let slot = fslot ctx name in
-      let flop = m.Machine.flop_time in
-      fun rt ->
-        let x = cv rt in
-        tick rt flop;
-        rt.r_fval.(slot) <- x;
-        rt.r_fvalid.(slot) <- true
-  | Spmd.Store { arr; idx; value; access } -> (
-      let aid =
-        match Hashtbl.find_opt ctx.x_arrays arr with
-        | Some a -> a
-        | None -> errf "unknown array %s" arr
-      in
-      let addr = caddr ctx aid idx in
-      let cv = cfexpr ctx value in
-      let flop = m.Machine.flop_time in
-      let put rt (a : addr) x =
-        if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot) <- x
-        else Hashtbl.replace rt.r_stores.(aid).st_side a.a_enc x
-      in
-      match access with
-      | Spmd.Checked ->
-          let check = m.Machine.check_time in
-          fun rt ->
-            let x = cv rt in
-            tick rt flop;
-            let a = addr rt in
-            tick rt check;
-            put rt a x
-      | Spmd.Local ->
-          fun rt ->
-            let x = cv rt in
-            tick rt flop;
-            let a = addr rt in
-            let st = rt.r_stores.(aid) in
-            let owned =
-              if st_sparse st then owns_enc st a.a_enc else a.a_slot >= 0
-            in
-            if not owned then local_store_fail rt aid a.a_enc;
-            put rt a x
-      | Spmd.Overlay | Spmd.Global ->
-          fun rt ->
-            let x = cv rt in
-            tick rt flop;
-            let a = addr rt in
-            put rt a x)
-  | Spmd.Pack { event; arr; idx } ->
-      let aid =
-        match Hashtbl.find_opt ctx.x_arrays arr with
-        | Some a -> a
-        | None -> errf "unknown array %s" arr
-      in
-      let addr = caddr ctx aid idx in
-      fun rt ->
-        let a = addr rt in
-        let v =
-          if a.a_slot >= 0 then rt.r_stores.(aid).st_data.(a.a_slot)
-          else pack_miss rt aid a.a_enc
-        in
-        Runtime.packbuf_push rt.r_packbufs.(event) ~arr a.a_enc v
-  | Spmd.Send { event; dest } ->
-      let cdest = List.map (cexpr_f ctx) dest in
-      let inplace = Hashtbl.mem ctx.x_inplace event in
-      let rect = Hashtbl.mem ctx.x_rect event in
-      let myvp = my_vp ctx in
-      let pvp = ctx.x_phys_of_vp in
-      let tr = ctx.x_tr in
-      fun rt ->
-        let dest_vp = List.map (fun f -> f rt) cdest in
-        let pl = Runtime.packbuf_flush rt.r_packbufs.(event) in
-        Runtime.send tr
-          ~tick:(fun dt -> tick rt dt)
-          ~get_clock:(fun () -> rt.r_clock)
-          ~pid:rt.r_pid ~dst_pid:(pvp dest_vp) ~event ~src_vp:(myvp rt)
-          ~dst_vp:dest_vp ~inplace ~rect pl
-  | Spmd.Recv { event; src } ->
-      let csrc = List.map (cexpr_f ctx) src in
-      let myvp = my_vp ctx in
-      let arrays = ctx.x_arrays in
-      let recv_o = m.Machine.recv_overhead in
-      let unpack = m.Machine.unpack_time in
-      let tr = ctx.x_tr in
-      fun rt ->
-        let src_vp = List.map (fun f -> f rt) csrc in
-        let k =
-          { Runtime.k_event = event; k_src = src_vp; k_dst = myvp rt }
-        in
-        let t0 = rt.r_clock in
-        let msg = Effect.perform (Runtime.ERecv k) in
-        tick rt recv_o;
-        rt.r_clock <- Float.max rt.r_clock msg.Runtime.m_arrival;
-        let pl = msg.Runtime.m_payload in
-        let n = Array.length pl.Runtime.pl_idx in
-        if not msg.Runtime.m_contig then tick rt (float_of_int n *. unpack);
-        if n > 0 then begin
-          let st =
-            match Hashtbl.find_opt arrays pl.Runtime.pl_arr with
-            | Some aid -> rt.r_stores.(aid)
-            | None -> errf "unknown array %s" pl.Runtime.pl_arr
-          in
-          for i = 0 to n - 1 do
-            put_enc st pl.Runtime.pl_idx.(i) pl.Runtime.pl_val.(i)
+(* The closure engine's main. Subroutine bodies sit behind refs, so calls
+   (forward or recursive) resolve once every body is generated. A loop
+   with a constant step evaluates its upper bound before its lower one, as
+   the emitted kernels do; the order shows only in which unbound-name
+   error wins. *)
+let closures (ctx : kctx) (k : Imp.kernel) : cstmt =
+  let zero = k.Imp.k_nint in
+  let gaddr = gaddr ~zero and gf = gf ~zero and gc = gc ~zero 0 in
+  let subs = Hashtbl.create 8 in
+  List.iter (fun (name, _) -> Hashtbl.replace subs name (ref (fun (_ : rt) -> ()))) k.k_subs;
+  let rec gs (s : Imp.kstmt) : cstmt =
+    match s with
+    | Imp.KFor { slot; var; lo; hi; step; body; loopt } -> (
+        let lo = gi lo and hi = gi hi and body = seq (List.map gs body) in
+        let loop rt l h st =
+          let ri = rt.r_int and i = ref l in
+          while !i <= h do
+            set ri slot !i;
+            tick rt loopt;
+            body rt;
+            i := !i + st
           done
-        end;
-        Runtime.trace_recv tr ~tid:rt.r_pid ~t0 ~t1:rt.r_clock k msg
-  | Spmd.Reduce { scalar; op } ->
-      if Hashtbl.mem ctx.x_arrays scalar then fun _ ->
-        Effect.perform (Runtime.EReduceArr (scalar, op))
-      else
-        let slot = fslot ctx scalar in
+        in
+        match step with
+        | Imp.IConst st when st > 0 ->
+            fun rt ->
+              let h = hi rt in
+              loop rt (lo rt) h st
+        | IConst _ ->
+            fun rt ->
+              ignore (lo rt : int);
+              ignore (hi rt : int);
+              bad_step rt var
+        | step ->
+            let step = gi step in
+            fun rt ->
+              let l = lo rt in
+              let h = hi rt in
+              let st = step rt in
+              if st <= 0 then bad_step rt var;
+              loop rt l h st)
+    | KIf { cond; body; guard } ->
+        let cond = gb cond and body = seq (List.map gs body) in
         fun rt ->
-          let mine = if rt.r_fvalid.(slot) then rt.r_fval.(slot) else 0.0 in
-          let combined = Effect.perform (Runtime.EReduce (op, mine)) in
-          rt.r_fval.(slot) <- combined;
-          rt.r_fvalid.(slot) <- true
-  | Spmd.Call f ->
-      let sub =
-        match Hashtbl.find_opt ctx.x_subs f with
-        | Some l -> l
-        | None -> lazy (fun rt -> errf "proc %d: unknown subroutine %s" rt.r_pid f)
-      in
-      fun rt -> (Lazy.force sub) rt
+          tick rt guard;
+          if cond rt then body rt
+    | KFIf { cond; then_; else_; guard } ->
+        let cond = gc cond in
+        let t = seq (List.map gs then_) and e = seq (List.map gs else_) in
+        fun rt ->
+          tick rt guard;
+          if cond rt then t rt else e rt
+    | KSetScalar { slot; value; flop } ->
+        let v = gf 0 value in
+        fun rt ->
+          v rt;
+          let x = get rt.r_regs 0 in
+          tick rt flop;
+          set rt.r_fval slot x;
+          set rt.r_fvalid slot true
+    | KStore { ap; value; access; flop; check } -> (
+        let v = gf 0 value and addr = gaddr ap and aid = ap.Imp.ap_aid in
+        match access with
+        | Spmd.Checked ->
+            fun rt ->
+              v rt;
+              tick rt flop;
+              let s = addr rt in
+              tick rt check;
+              store_put rt aid s (get rt.r_regs 0)
+        | Spmd.Local ->
+            fun rt ->
+              v rt;
+              tick rt flop;
+              let s = addr rt in
+              let st = get rt.r_stores aid in
+              let owned = if st_sparse st then owns_enc st rt.r_enc else s >= 0 in
+              if not owned then local_store_fail rt aid rt.r_enc;
+              store_put rt aid s (get rt.r_regs 0)
+        | Spmd.Overlay | Spmd.Global ->
+            fun rt ->
+              v rt;
+              tick rt flop;
+              store_put rt aid (addr rt) (get rt.r_regs 0))
+    | KPack { event; arr; ap } ->
+        let addr = gaddr ap and aid = ap.Imp.ap_aid in
+        fun rt ->
+          let s = addr rt in
+          let v =
+            if s >= 0 then get (get rt.r_stores aid).st_data s
+            else pack_miss rt aid rt.r_enc
+          in
+          Runtime.packbuf_push (get rt.r_packbufs event) ~arr rt.r_enc v
+    | KSend { event; dest; inplace; rect } ->
+        let dest = List.map gi dest in
+        fun rt ->
+          do_send ctx rt ~event ~inplace ~rect (List.map (fun f -> f rt) dest)
+    | KRecv { event; src; recv_o; unpack } ->
+        let src = List.map gi src in
+        fun rt -> do_recv ctx rt ~event ~recv_o ~unpack (List.map (fun f -> f rt) src)
+    | KReduceArr { name; op } -> fun _ -> do_reduce_arr name op
+    | KReduceScalar { slot; op } -> fun rt -> do_reduce_scalar rt slot op
+    | KCall f ->
+        let sub = Hashtbl.find subs f in
+        fun rt -> !sub rt
+    | KUnknownSub f -> fun rt -> unknown_sub rt f
+  in
+  List.iter (fun (name, body) -> Hashtbl.find subs name := seq (List.map gs body)) k.k_subs;
+  seq (List.map gs k.k_main)
 
-and cstmts ctx body = seq (List.map (cstmt ctx) body)
 
 (* ------------------------------------------------------------------ *)
 (* Setup: dense storage construction                                    *)
@@ -851,6 +831,7 @@ let build_store ~geval ~(su : Runtime.setup) ~sparse pid
   {
     st_am = am;
     st_owned = !owned;
+    st_dense = data != [||];
     st_dmaps = dmaps;
     st_lstride = lstride;
     st_data = data;
@@ -861,6 +842,32 @@ let build_store ~geval ~(su : Runtime.setup) ~sparse pid
 (* The compiled simulation                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Where an element lives, for result inspection: per layout dimension,
+   its data dimension and the owner coordinate of every index along it
+   (replicated dimensions resolve to coordinate 0; a fixed coordinate is
+   the one entry under data dimension -1). Tabulated once per array, so
+   reading every element back costs no layout evaluation. *)
+let owner_table ~geval (am : Runtime.ameta) (layout : Spmd.array_layout option) =
+  let coord dl idx =
+    match Runtime.owner_coord ~eval:geval dl idx with None -> 0 | Some o -> o
+  in
+  match layout with
+  | None -> [||]
+  | Some la ->
+      Array.of_list
+        (List.map
+           (fun (dl : Spmd.dim_layout) ->
+             match dl.Spmd.source with
+             | Spmd.FromData { data_dim; _ } ->
+                 let lo = fst am.Runtime.am_bounds.(data_dim) in
+                 let idx = Array.make (Array.length am.Runtime.am_ext) 0 in
+                 ( data_dim,
+                   Array.init am.Runtime.am_ext.(data_dim) (fun u ->
+                       idx.(data_dim) <- lo + u;
+                       coord dl idx) )
+             | Spmd.AnyCoord | Spmd.FixedCoord _ -> (-1, [| coord dl [||] |]))
+           la.Spmd.la_dims)
+
 type csim = {
   c_prog : Spmd.program;
   c_su : Runtime.setup;
@@ -869,14 +876,16 @@ type csim = {
   c_main : cstmt;
   c_arrays : (string, int) Hashtbl.t;
   c_ameta : Runtime.ameta array;
-  c_layouts : Spmd.array_layout option array;
-  c_islots : (string, int) Hashtbl.t;
-  c_fslots : (string, int) Hashtbl.t;
+  c_owners : (int * int array) array Lazy.t array;  (* by store id *)
+  c_islots : (string * int) list;  (* sorted by name *)
+  c_fslots : (string * int) list;
   c_domains : int;
   mutable c_ran : bool;
 }
 
-let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
+(* Set up the machine and lower the program once through {!Imp}; [gen]
+   turns the lowered kernel into the per-processor entry point. *)
+let make_with gen ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
     ~nprocs ?(params = []) (prog : Spmd.program) : csim =
   let su = Runtime.setup ?faults ~nprocs ~params prog in
   let geval e = Runtime.eval_genv su.Runtime.su_genv e in
@@ -891,61 +900,20 @@ let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
   let layouts =
     Array.of_list (List.map (fun (ad : Spmd.array_decl) -> ad.Spmd.ad_layout) prog.Spmd.arrays)
   in
-  let inplace = Hashtbl.create 8 and rect = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Spmd.event_info) ->
-      if e.Spmd.ev_inplace then Hashtbl.replace inplace e.Spmd.ev_id ();
-      if e.Spmd.ev_rect then Hashtbl.replace rect e.Spmd.ev_id ())
-    prog.Spmd.events;
-  let phys_of_vp = Runtime.phys_of_vp ~eval:geval prog ~extents:su.Runtime.su_extents in
-  let ctx =
+  let kernel =
+    Imp.lower ~machine ~genv:su.Runtime.su_genv ~extents:su.Runtime.su_extents
+      ~arrays ~ameta prog
+  in
+  let kctx =
     {
-      x_prog = prog;
-      x_genv = su.Runtime.su_genv;
-      x_machine = machine;
-      x_tr = tr;
-      x_extents = su.Runtime.su_extents;
-      x_islots = Hashtbl.create 32;
-      x_nint = 0;
-      x_fslots = Hashtbl.create 16;
-      x_nfloat = 0;
-      x_arrays = arrays;
-      x_ameta = ameta;
-      x_inplace = inplace;
-      x_rect = rect;
-      x_subs = Hashtbl.create 8;
-      x_vm_slots = [||];
-      x_phys_of_vp = phys_of_vp;
+      k_tr = tr;
+      k_phys = Runtime.phys_of_vp ~eval:geval prog ~extents:su.Runtime.su_extents;
+      k_arrays = arrays;
+      k_vm_slots = kernel.Imp.k_vm_slots;
     }
   in
-  (* pre-allocate coordinate and scalar slots so every compiled reference
-     resolves to the same cell the startup code fills *)
-  let ndim = List.length prog.Spmd.proc_dims in
-  let m_slots = Array.init ndim (fun k -> islot ctx (Printf.sprintf "m$%d" (k + 1))) in
-  let vm_slots = Array.init ndim (fun k -> islot ctx (Printf.sprintf "vm$%d" (k + 1))) in
-  let ctx = { ctx with x_vm_slots = vm_slots } in
-  List.iter (fun s -> ignore (fslot ctx s)) prog.Spmd.scalars;
-  let declared = Hashtbl.copy ctx.x_fslots in
-  List.iter
-    (fun s -> if not (Hashtbl.mem arrays s) then ignore (fslot ctx s))
-    (Spmd.assigned_scalars prog);
-  (* lower subroutines through memoized lazies (so mutually recursive
-     calls reference each other by name) and then the main program *)
-  List.iter
-    (fun (name, body) ->
-      Hashtbl.replace ctx.x_subs name (lazy (cstmts ctx body)))
-    prog.Spmd.subs;
-  let c_main = cstmts ctx prog.Spmd.main in
-  (* force every subroutine body now: compiling one may allocate new
-     integer/scalar slots, and the per-processor slot arrays below are
-     sized once — a body first compiled mid-run would index past them.
-     (A Call closure forces the lazy at invocation, not here, so mutual
-     recursion still terminates.) *)
-  List.iter
-    (fun (name, _) ->
-      ignore (Lazy.force (Hashtbl.find ctx.x_subs name) : cstmt))
-    prog.Spmd.subs;
-  (* per-processor state, sized by the final slot counts *)
+  let c_main = gen kctx kernel in
+  (* per-processor state, sized by the kernel *)
   let sparse = reduce_targets prog in
   let max_rank =
     Array.fold_left (fun n am -> max n (Array.length am.Runtime.am_ext)) 1 ameta
@@ -961,16 +929,20 @@ let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
       prog;
     !n
   in
+  let nregs = kernel_regs kernel in
   let rts =
     Array.init su.Runtime.su_total (fun pid ->
-        let r_int = Array.make (max ctx.x_nint 1) 0 in
-        Array.iteri (fun k s -> r_int.(s) <- su.Runtime.su_coords.(pid).(k)) m_slots;
-        List.iter (fun (k, v) -> r_int.(vm_slots.(k)) <- v) su.Runtime.su_vm0.(pid);
-        let r_fval = Array.make (max ctx.x_nfloat 1) 0.0 in
-        let r_fvalid = Array.make (max ctx.x_nfloat 1) false in
+        (* one slot past Imp's is the constant 0 that [slot + c] reads use *)
+        let r_int = Array.make (kernel.Imp.k_nint + 1) 0 in
+        Array.iteri (fun k s -> r_int.(s) <- su.Runtime.su_coords.(pid).(k)) kernel.Imp.k_m_slots;
+        List.iter (fun (k, v) -> r_int.(kernel.Imp.k_vm_slots.(k)) <- v) su.Runtime.su_vm0.(pid);
+        let r_fval = Array.make (max kernel.Imp.k_nfloat 1) 0.0 in
+        let r_fvalid = Array.make (max kernel.Imp.k_nfloat 1) false in
         (* declared replicated scalars start initialized at zero, matching
            the interpreter's fenv pre-population *)
-        Hashtbl.iter (fun _ s -> r_fvalid.(s) <- true) declared;
+        List.iter
+          (fun s -> r_fvalid.(List.assoc s kernel.Imp.k_fslots) <- true)
+          prog.Spmd.scalars;
         let stores =
           Array.init (Array.length ameta) (fun aid ->
               build_store ~geval ~su
@@ -984,9 +956,11 @@ let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
           r_fvalid;
           r_stores = stores;
           r_packbufs = Array.init (max n_events 1) (fun _ -> Runtime.packbuf_create ());
-          r_clock = 0.0;
+          r_clk = { c = 0.0 };
           r_skew = su.Runtime.su_skew.(pid);
           r_scratch = Array.make max_rank 0;
+          r_regs = Array.make nregs 0.0;
+          r_enc = 0;
         })
   in
   {
@@ -997,12 +971,15 @@ let make ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
     c_main;
     c_arrays = arrays;
     c_ameta = ameta;
-    c_layouts = layouts;
-    c_islots = ctx.x_islots;
-    c_fslots = ctx.x_fslots;
+    c_owners =
+      Array.mapi (fun aid am -> lazy (owner_table ~geval am layouts.(aid))) ameta;
+    c_islots = kernel.Imp.k_islots;
+    c_fslots = kernel.Imp.k_fslots;
     c_domains = domains;
     c_ran = false;
   }
+
+let make = make_with closures
 
 let nprocs cs = cs.c_su.Runtime.su_total
 
@@ -1058,53 +1035,40 @@ let run (cs : csim) : Runtime.stats =
     {
       Runtime.h_nprocs = Array.length cs.c_rts;
       h_tr = cs.c_tr;
-      h_clock = (fun p -> cs.c_rts.(p).r_clock);
-      h_set_clock = (fun p t -> cs.c_rts.(p).r_clock <- t);
+      h_clock = (fun p -> cs.c_rts.(p).r_clk.c);
+      h_set_clock = (fun p t -> cs.c_rts.(p).r_clk.c <- t);
       h_body = (fun p -> cs.c_main cs.c_rts.(p));
       h_reduce_arr = reduce_arr cs;
       h_phys_of_vp = phys_of_vp cs;
     };
   Runtime.stats_of cs.c_tr
-    ~proc_times:(Array.map (fun rt -> rt.r_clock) cs.c_rts)
+    ~proc_times:(Array.map (fun rt -> rt.r_clk.c) cs.c_rts)
 
 (* ------------------------------------------------------------------ *)
 (* Result inspection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* the linear pid of the owner (replicated dims resolve to coordinate 0) *)
-let owner_pid cs name (idx : int list) : int =
+(** Value of an array element after execution, read from its owner. *)
+let get_elem cs name idx =
   let aid =
     match Hashtbl.find_opt cs.c_arrays name with
     | Some a -> a
     | None -> errf "unknown array %s" name
   in
-  let geval = Runtime.eval_genv cs.c_su.Runtime.su_genv in
-  match cs.c_layouts.(aid) with
-  | None -> 0
-  | Some la ->
-      let idxa = Array.of_list idx in
-      let coords =
-        List.map
-          (fun dl ->
-            match Runtime.owner_coord ~eval:geval dl idxa with
-            | None -> 0
-            | Some o -> o)
-          la.Spmd.la_dims
-      in
-      let pid = ref 0 and stride = ref 1 in
-      List.iteri
-        (fun k c ->
-          pid := !pid + (c * !stride);
-          stride := !stride * cs.c_su.Runtime.su_extents.(k))
-        coords;
-      !pid
-
-(** Value of an array element after execution, read from its owner. *)
-let get_elem cs name idx =
-  let pid = owner_pid cs name idx in
-  let aid = Hashtbl.find cs.c_arrays name in
-  let enc = Runtime.encode cs.c_ameta.(aid) idx in
-  get_enc cs.c_rts.(pid).r_stores.(aid) enc
+  let am = cs.c_ameta.(aid) in
+  let enc = Runtime.encode am idx in
+  let owners = Lazy.force cs.c_owners.(aid) in
+  let pid = ref 0 and stride = ref 1 in
+  for k = 0 to Array.length owners - 1 do
+    let dd, coords = owners.(k) in
+    let c =
+      if dd < 0 then coords.(0)
+      else coords.(List.nth idx dd - fst am.Runtime.am_bounds.(dd))
+    in
+    pid := !pid + (c * !stride);
+    stride := !stride * cs.c_su.Runtime.su_extents.(k)
+  done;
+  get_enc cs.c_rts.(!pid).r_stores.(aid) enc
 
 (** Measured per-pair communication table (empty unless metrics were
     enabled when the sim was built). *)
@@ -1112,7 +1076,7 @@ let comm_cells cs = Runtime.comm_cells cs.c_tr
 
 (** Scalar value (replicated; read from processor 0). *)
 let get_scalar cs name =
-  match Hashtbl.find_opt cs.c_fslots name with
+  match List.assoc_opt name cs.c_fslots with
   | Some slot when cs.c_rts.(0).r_fvalid.(slot) -> cs.c_rts.(0).r_fval.(slot)
   | _ -> errf "unknown scalar %s" name
 
@@ -1121,9 +1085,9 @@ let get_scalar cs name =
 (* ------------------------------------------------------------------ *)
 
 let transport cs = cs.c_tr
-let clocks cs = Array.map (fun rt -> rt.r_clock) cs.c_rts
-let set_clocks cs t = Array.iter (fun rt -> rt.r_clock <- t) cs.c_rts
-let charge cs dt = Array.iter (fun rt -> rt.r_clock <- rt.r_clock +. dt) cs.c_rts
+let clocks cs = Array.map (fun rt -> rt.r_clk.c) cs.c_rts
+let set_clocks cs t = Array.iter (fun rt -> rt.r_clk.c <- t) cs.c_rts
+let charge cs dt = Array.iter (fun rt -> rt.r_clk.c <- rt.r_clk.c +. dt) cs.c_rts
 
 (* every resident element of one store as sorted (global linear index,
    value) pairs: the dense owned block enumerated through the per-dimension
@@ -1132,7 +1096,7 @@ let charge cs dt = Array.iter (fun rt -> rt.r_clock <- rt.r_clock +. dt) cs.c_rt
 let store_elems (st : store) : (int * float) array =
   let acc = ref [] in
   Hashtbl.iter (fun k v -> acc := (k, v) :: !acc) st.st_side;
-  if st.st_owned && st.st_data != [||] then begin
+  if st.st_dense then begin
     let ext = st.st_am.Runtime.am_ext in
     let nd = Array.length ext in
     let owned =
@@ -1167,15 +1131,12 @@ let capture (cs : csim) : Runtime.image =
     Array.map
       (fun rt ->
         let ints =
-          Hashtbl.fold (fun n s acc -> (n, rt.r_int.(s)) :: acc) cs.c_islots []
-          |> List.sort compare |> Array.of_list
+          Array.of_list (List.map (fun (n, s) -> (n, rt.r_int.(s))) cs.c_islots)
         in
         let floats =
-          Hashtbl.fold
-            (fun n s acc ->
-              if rt.r_fvalid.(s) then (n, rt.r_fval.(s)) :: acc else acc)
-            cs.c_fslots []
-          |> List.sort compare |> Array.of_list
+          List.filter (fun (_, s) -> rt.r_fvalid.(s)) cs.c_fslots
+          |> List.map (fun (n, s) -> (n, rt.r_fval.(s)))
+          |> Array.of_list
         in
         let elems =
           List.map (fun (n, aid) -> (n, store_elems rt.r_stores.(aid))) anames
@@ -1189,7 +1150,7 @@ let capture (cs : csim) : Runtime.image =
               staged := (ev, pl) :: !staged)
           rt.r_packbufs;
         {
-          Runtime.pi_clock = rt.r_clock;
+          Runtime.pi_clock = rt.r_clk.c;
           pi_ints = ints;
           pi_floats = floats;
           pi_elems = elems;

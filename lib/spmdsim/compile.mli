@@ -1,17 +1,22 @@
-(** Closure-compiling SPMD execution engine — the default engine behind
+(** Closure-generating SPMD execution engine — the default engine behind
     {!Exec.make}.
 
-    A one-time lowering pass turns each [Spmd.stmt]/[fexpr]/[expr] tree into
-    an OCaml closure over a compact per-processor state record: integer
-    names resolve to [int array] slots, replicated scalars to [float array]
-    slots, and global parameters fold into compile-time constants, so the
-    per-iteration cost is a closure call instead of an AST match with
-    hashtable lookups. Each processor's owned section of a distributed
-    array is a dense [float array] block addressed through per-dimension
-    ownership tables (exact for block, cyclic and block-cyclic layouts
-    under any alignment), with a side hashtable only for received non-local
-    values; arrays that are array-reduction targets keep the sparse
-    representation so collective semantics match the interpreter exactly.
+    The program is lowered once, by {!Imp.lower} (the one SPMD lowering,
+    shared with {!Native}), and each kernel node becomes an OCaml closure
+    over a compact per-processor state record: integer names are [int
+    array] slots, replicated scalars [float array] slots, and global
+    parameters literals, so the per-iteration cost is a closure call
+    instead of an AST match with hashtable lookups. The generated hot path
+    allocates nothing: the clock is a float-only cell, accesses return the
+    dense slot as an int, float expressions write into a per-processor
+    register file, intrinsics are resolved at generation time, and
+    dimensions {!Imp} proved in bounds are not checked. Each processor's
+    owned section of a distributed array is a dense [float array] block
+    addressed through per-dimension ownership tables (exact for block,
+    cyclic and block-cyclic layouts under any alignment), with a side
+    hashtable only for received non-local values; arrays that are
+    array-reduction targets keep the sparse representation so collective
+    semantics match the interpreter exactly.
 
     The transport and scheduler are shared with the interpreter via
     {!Runtime}, and clock charges follow the interpreter's order, so runs
@@ -19,11 +24,11 @@
     interpreter remains the differential oracle ({!Diffcheck.engines}).
 
     The per-processor representation ([store], [rt]) and the sim record
-    ([csim]) are exposed concretely: the native engine ({!Native}) reuses
-    this engine's setup, storage, transport and result plumbing verbatim and
-    only replaces [c_main] with a dynlinked kernel emitted by {!Emit}, so
-    everything outside the kernel body is structurally identical across the
-    two engines. *)
+    ([csim]) are exposed concretely: the native engine reuses this
+    engine's setup, lowering, storage, transport and result plumbing
+    verbatim through {!make_with} and only supplies a different main — a
+    dynlinked kernel emitted by {!Emit} — so everything outside the kernel
+    body is structurally identical across the two engines. *)
 
 (** {1 Per-processor storage} *)
 
@@ -32,6 +37,7 @@ type store = {
   st_owned : bool;
       (** false: a FixedCoord layout dimension excludes this processor from
           holding any owned block *)
+  st_dense : bool;  (** owned with a non-empty dense block *)
   st_dmaps : int array array;
       (** per data dimension: (x - lo_d) -> local index, or -1 if this
           processor does not own that coordinate *)
@@ -45,36 +51,31 @@ type store = {
 val st_sparse : store -> bool
 (** The array keeps the sparse (side-table only) representation. *)
 
-val slot_of_enc : store -> int -> int
-(** Dense slot of a global linear index, or -1 if not owned/dense. *)
-
-val put_enc : store -> int -> float -> unit
-val get_enc : store -> int -> float
-
 val owns_enc : store -> int -> bool
 (** Ownership test by decoded coordinates (sparse-array slow path). *)
 
 (** {1 Per-processor runtime state} *)
 
+type clock = { mutable c : float }
+(** A float-only cell: updating it does not allocate. *)
+
 type rt = {
   r_pid : int;
-  r_int : int array;  (** integer slots: loop vars, [m$k], [vm$k] *)
+  r_int : int array;
+      (** integer slots: loop vars, [m$k], [vm$k]; one more, always 0 *)
   r_fval : float array;  (** replicated-scalar slots *)
   r_fvalid : bool array;
       (** mirrors the interpreter's fenv membership: a slot is readable as a
           scalar only after initialization (declared) or first assignment *)
   r_stores : store array;  (** indexed by array id *)
   r_packbufs : Runtime.packbuf array;  (** indexed by event id *)
-  mutable r_clock : float;
+  r_clk : clock;  (** the processor's virtual clock *)
   r_skew : float;
-  r_scratch : int array;  (** index scratch for arrays of rank > 3 *)
+  r_scratch : int array;  (** subscripts of the general access path *)
+  r_regs : float array;  (** float expression registers *)
+  mutable r_enc : int;  (** global linear index of the last access *)
 }
 
-val tick : rt -> float -> unit
-(** Charge [dt] (scaled by the processor's skew) to the local clock. *)
-
-type cint = rt -> int
-type cfloat = rt -> float
 type cstmt = rt -> unit
 
 (** {1 Cold paths shared with emitted kernels}
@@ -83,9 +84,7 @@ type cstmt = rt -> unit
     a dense miss or an illegal access, so halo lookups, sparse-array
     defaults and failure messages stay identical across engines. *)
 
-val access_name : Dhpf.Spmd.access -> string
 val bounds_fail : Runtime.ameta -> int -> int -> 'a
-val idx_string : Runtime.ameta -> int -> string
 
 val load_miss : rt -> int -> aname:string -> int -> float
 (** [load_miss rt aid ~aname enc]: value of a load whose dense slot was -1 —
@@ -98,6 +97,31 @@ val pack_miss : rt -> int -> int -> float
 val local_store_fail : rt -> int -> int -> 'a
 (** The [Local]-store-to-non-owned-element error. *)
 
+val bad_step : rt -> string -> 'a
+val unbound_int : rt -> string -> 'a
+val unknown_sub : rt -> string -> 'a
+
+(** {1 Communication and collectives}
+
+    Used by both engines' mains, so clock charges, effects and error texts
+    are shared. *)
+
+type kctx = {
+  k_tr : Runtime.transport;
+  k_phys : int list -> int;  (** VP coordinates -> physical pid *)
+  k_arrays : (string, int) Hashtbl.t;  (** array name -> store id *)
+  k_vm_slots : int array;  (** slot of [vm$k] *)
+}
+
+val do_send :
+  kctx -> rt -> event:int -> inplace:bool -> rect:bool -> int list -> unit
+
+val do_recv :
+  kctx -> rt -> event:int -> recv_o:float -> unpack:float -> int list -> unit
+
+val do_reduce_arr : string -> Dhpf.Spmd.reduce_op -> unit
+val do_reduce_scalar : rt -> int -> Dhpf.Spmd.reduce_op -> unit
+
 (** {1 The compiled simulation} *)
 
 type csim = {
@@ -108,9 +132,11 @@ type csim = {
   c_main : cstmt;
   c_arrays : (string, int) Hashtbl.t;  (** array name -> store id *)
   c_ameta : Runtime.ameta array;  (** by store id *)
-  c_layouts : Dhpf.Spmd.array_layout option array;
-  c_islots : (string, int) Hashtbl.t;
-  c_fslots : (string, int) Hashtbl.t;
+  c_owners : (int * int array) array Lazy.t array;
+      (** by store id: per layout dimension, the data dimension ([-1]: a
+          fixed coordinate) and each index's owner coordinate *)
+  c_islots : (string * int) list;  (** integer slots by name, sorted *)
+  c_fslots : (string * int) list;  (** scalar slots by name, sorted *)
   c_domains : int;
   mutable c_ran : bool;
 }
@@ -123,9 +149,21 @@ val make :
   ?params:(string * int) list ->
   Dhpf.Spmd.program ->
   csim
-(** Compile the program to closures and build per-processor dense storage.
-    Parameters are as in {!Exec.make}; [domains] defaults to
+(** Lower the program, generate its closures and build per-processor dense
+    storage. Parameters are as in {!Exec.make}; [domains] defaults to
     [Par.domains ()]. *)
+
+val make_with :
+  (kctx -> Imp.kernel -> cstmt) ->
+  ?machine:Machine.t ->
+  ?faults:Fault.spec ->
+  ?domains:int ->
+  nprocs:int ->
+  ?params:(string * int) list ->
+  Dhpf.Spmd.program ->
+  csim
+(** [make] with another generator of the main from the lowered kernel
+    (the native engine's). *)
 
 val nprocs : csim -> int
 val phys_of_vp : csim -> int list -> int

@@ -11,10 +11,12 @@
    The contract is bit-identity with the closure engine: clock charges are
    issued at exactly {!Compile}'s points and in its order, float operands
    are let-sequenced in its evaluation order (FP arithmetic is not
-   associative, so shapes matter, not just operand sets), and every cold
-   path (dense-slot miss, bounds failure, unbound name, non-positive step,
-   unknown subroutine) calls back into {!Compile}/{!Native} so failure
-   messages are shared. [Array.unsafe_get]/[unsafe_set] is used where it
+   associative, so shapes matter, not just operand sets), intrinsics are
+   direct calls to the functions {!Serial} uses (resolved by
+   {!Serial.intrinsic_op}), and every cold path
+   (dense-slot miss, bounds failure, unbound name, non-positive step,
+   unknown subroutine or intrinsic) calls back into {!Compile}/{!Serial}
+   so failure messages are shared. [Array.unsafe_get]/[unsafe_set] is used where it
    is unconditionally safe — slot reads, post-check ownership tables — and
    a subscript's bounds comparison is dropped only when {!Imp}'s interval
    analysis proved it cannot fire. *)
@@ -41,20 +43,26 @@ let pfloat x =
 (* Clock accumulation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile's [tick] is [r_clock <- r_clock +. dt *. r_skew]: a call plus a
-   boxed-float store into a mixed record, per machine-cost charge. Emitted
-   kernels accumulate the clock in a local [float ref] instead (a flat
-   one-field record — in-place update, no allocation) with the identical
-   chain of [+. (dt *. sk)] operations, so the result is bit-equal; the
-   local is flushed to [rt.r_clock] before anything that can observe it —
-   an effect (send/recv/reduce suspends the fiber and the scheduler prices
-   against live clocks) or a subroutine call (which accumulates its own) —
-   and reloaded after, since the handler may have advanced it. Error paths
-   abort the run, so a stale clock under them is unobservable. *)
+(* Compile's [tick] adds [dt *. r_skew] to the processor's clock cell.
+   Emitted kernels accumulate the clock in a local [float ref] instead
+   (unboxed by the compiler) with the identical chain of [+. (dt *. sk)]
+   operations, so the result is bit-equal; the local is flushed to the
+   cell before anything that can observe it — an effect (send/recv/reduce
+   suspends the fiber and the scheduler prices against live clocks) or a
+   subroutine call (which accumulates its own) — and reloaded after,
+   since the handler may have advanced it. Error paths abort the run, so a
+   stale clock under them is unobservable. *)
 let ptick x = spf "clk := !clk +. (%s *. sk);" (pfloat x)
 
-let flush_clk = "rt.C.r_clock <- !clk;"
-let reload_clk = "clk := rt.C.r_clock;"
+let flush_clk = "rt.C.r_clk.C.c <- !clk;"
+let reload_clk = "clk := rt.C.r_clk.C.c;"
+
+(* Every register is caller-saved in OCaml, so the accumulator would be
+   spilled after every charge — a store and a reload on the clock's
+   dependency chain — if any call could happen while it is live. Calls out
+   of the kernel (cold paths, C intrinsics) therefore flush it and reload
+   it after, as effects do; on the hot path it stays in a register. *)
+let call s = spf "(%s let cv = %s in %s cv)" flush_clk s reload_clk
 
 (* ------------------------------------------------------------------ *)
 (* Integer expressions                                                 *)
@@ -71,23 +79,23 @@ let rec pe env (e : iexpr) : string =
       match List.assoc_opt s env with
       | Some v -> v
       | None -> spf "(Array.unsafe_get ri %d)" s)
-  | IUnbound n -> spf "(N.unbound_int rt %S)" n
+  | IUnbound n -> call (spf "C.unbound_int rt %S" n)
   | IAdd (a, b) -> spf "(%s + %s)" (pe env a) (pe env b)
   | ISub (a, b) -> spf "(%s - %s)" (pe env a) (pe env b)
   | IMul (k, a) -> spf "(%s * %s)" (pint k) (pe env a)
-  | IFloorDiv (a, k) -> spf "(Iset.Lin.fdiv %s %s)" (pe env a) (pint k)
-  | ICeilDiv (a, k) -> spf "(Iset.Lin.cdiv %s %s)" (pe env a) (pint k)
+  | IFloorDiv (a, k) -> call (spf "Iset.Lin.fdiv %s %s" (pe env a) (pint k))
+  | ICeilDiv (a, k) -> call (spf "Iset.Lin.cdiv %s %s" (pe env a) (pint k))
   | IMax [] -> "min_int"
   | IMax (e :: es) ->
-      List.fold_left (fun acc e -> spf "(max %s %s)" acc (pe env e)) (pe env e) es
+      List.fold_left (fun acc e -> spf "(imax %s %s)" acc (pe env e)) (pe env e) es
   | IMin [] -> "max_int"
   | IMin (e :: es) ->
-      List.fold_left (fun acc e -> spf "(min %s %s)" acc (pe env e)) (pe env e) es
+      List.fold_left (fun acc e -> spf "(imin %s %s)" acc (pe env e)) (pe env e) es
   | IAlignUp (a, t, k) ->
       (* each AlignUp's [au] is self-contained: nested occurrences shadow
          harmlessly inside their own parentheses *)
-      spf "(let au = %s in au + Iset.Lin.pmod (%s - au) %s)" (pe env a) (pe env t)
-        (pe env k)
+      spf "(let au = %s in au + %s)" (pe env a)
+        (call (spf "Iset.Lin.pmod (%s - au) %s" (pe env t) (pe env k)))
 
 let rec pb env (c : icond) : string =
   match c with
@@ -95,7 +103,7 @@ let rec pb env (c : icond) : string =
   | BConst false -> "false"
   | BGeq0 e -> spf "(%s >= 0)" (pe env e)
   | BEq0 e -> spf "(%s = 0)" (pe env e)
-  | BDivides (k, e) -> spf "(Iset.Lin.pmod %s %s = 0)" (pe env e) (pint k)
+  | BDivides (k, e) -> spf "(%s = 0)" (call (spf "Iset.Lin.pmod %s %s" (pe env e) (pint k)))
   | BAnd [] -> "true"
   | BAnd cs -> "(" ^ String.concat " && " (List.map (pb env) cs) ^ ")"
   | BOr [] -> "false"
@@ -106,22 +114,18 @@ let rec pb env (c : icond) : string =
 (* Access sites                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The inlined form of one Compile.caddr site, as a run of [let]s binding
-   [slot] (and optionally [enc]); spliced into a parenthesized block, so
-   the fixed internal names scope away (nested accesses close over their
-   own). The prologue's per-array hoists carry the loop-invariant parts:
-   [st_A] the store record, [dn_A] the dense-owned flag (computed against
-   compile.ml's own empty-array constant — the literal [[||]] in a
-   dynlinked unit is that unit's own static block, so a physical
-   comparison here would diverge), [dm_A_d]/[ls_A_d] the ownership maps
-   and data strides, [sd_A]/[ss_A] the dense block and side table.
-   Ranks 1-3 evaluate all subscripts before checking (Compile's register
-   specialization); higher ranks check per dimension as Compile's scratch
-   loop does — the orders differ only in which of two errors wins, and we
-   match Compile rank for rank. A dimension's comparison is emitted only
-   when the interval analysis failed to prove it dead; the ownership-table
-   reads after it are unconditionally safe either way (checked or proven
-   in range).
+(* The inlined form of one access site, as a run of [let]s binding [slot]
+   (and optionally [enc]); spliced into a parenthesized block, so the
+   fixed internal names scope away (nested accesses close over their own).
+   The prologue's per-array hoists carry the loop-invariant parts: [st_A]
+   the store record, [dn_A] its dense-owned flag, [dm_A_d]/[ls_A_d] the
+   ownership maps and data strides, [sd_A]/[ss_A] the dense block and side
+   table. Ranks 1-3 evaluate all subscripts before checking; higher ranks
+   check per dimension, as {!Compile}'s access closures do — the orders
+   differ only in which of two errors wins. A dimension's comparison is
+   emitted only when the interval analysis failed to prove it dead; the
+   ownership-table reads after it are unconditionally safe either way
+   (checked or proven in range).
 
    [enc] — the global linear index — is only consumed off the dense fast
    path (side-table stores, halo/miss lookups, pack staging), so sites
@@ -146,8 +150,8 @@ let access_lets ?(enc = false) env (ap : access_plan) : string =
   let check d (da : dim_access) =
     add "   let u%d = x%d - %s in\n" d d (pint da.da_lo);
     if not da.da_proven then
-      add "   (if u%d < 0 || u%d >= %d then C.bounds_fail st_%d.C.st_am %d x%d);\n" d d
-        da.da_ext a d d
+      add "   (if u%d < 0 || u%d >= %d then %s);\n" d d da.da_ext
+        (call (spf "C.bounds_fail st_%d.C.st_am %d x%d" a d d))
   in
   if nd <= 3 then begin
     Array.iteri (fun d da -> add "let x%d = %s in\n   " d (pe env da.da_idx)) ap.ap_dims;
@@ -202,7 +206,7 @@ let rec pf env (e : kfexpr) : string =
         | FbSlot (s, _) ->
             spf "(float_of_int %s)" (pe env (ISlot (s, "")))
         | FbConst x -> pfloat x
-        | FbUnbound n -> spf "(N.unbound_int rt %S)" n
+        | FbUnbound n -> call (spf "C.unbound_int rt %S" n)
       in
       match slot with
       | Some s ->
@@ -211,14 +215,16 @@ let rec pf env (e : kfexpr) : string =
             s s fb
       | None -> fb)
   | KFLoad { ap; aname; checked; flop; check } ->
-      spf "(%s\n   %s   %sif slot >= 0 then Array.unsafe_get sd_%d slot\n   else C.load_miss rt %d ~aname:%S (%s))"
+      spf "(%s\n   %s   %sif slot >= 0 then Array.unsafe_get sd_%d slot\n   else %s)"
         (ptick flop) (access_lets env ap)
         (if checked then spf "%s\n   " (ptick check) else "")
-        ap.ap_aid ap.ap_aid aname (access_enc ap)
+        ap.ap_aid
+        (call (spf "C.load_miss rt %d ~aname:%S (%s)" ap.ap_aid aname (access_enc ap)))
   | KFNeg a -> spf "(-. %s)" (pf env a)
   | KFBin { op; a; b; flop } ->
-      (* operands sequenced left then right, charge after both: Compile's
-         order (FP is not associative; shape is part of the contract) *)
+      (* operands sequenced left then right, charge after both: the
+         engines' order (FP is not associative; shape is part of the
+         contract) *)
       spf "(let va = %s in\n   let vb = %s in\n   %s va %s vb)"
         (pf env a) (pf env b) (ptick flop) (fbinop op)
   | KFIntrin { name; args; flop } ->
@@ -226,9 +232,26 @@ let rec pf env (e : kfexpr) : string =
         String.concat ""
           (List.mapi (fun i a -> spf "let a%d = %s in\n   " i (pf env a)) args)
       in
-      let vars = List.mapi (fun i _ -> spf "a%d" i) args in
-      spf "(%s\n   %sS.intrinsic %S [%s])" (ptick flop) lets name
-        (String.concat "; " vars)
+      let fn =
+        match Serial.intrinsic_op name (List.length args) with
+        | Some (Unary Abs) -> "Float.abs a0"
+        | Some (Unary Sqrt) -> "Stdlib.sqrt a0"
+        | Some (Unary Exp) -> call "Stdlib.exp a0"
+        | Some (Unary Log) -> call "Stdlib.log a0"
+        | Some (Unary Sin) -> call "Stdlib.sin a0"
+        | Some (Unary Cos) -> call "Stdlib.cos a0"
+        | Some (Unary Float) -> "a0"
+        | Some (Binary Max) -> call "Float.max a0 a1"
+        | Some (Binary Min) -> call "Float.min a0 a1"
+        | Some (Binary Mod) -> call "Float.rem a0 a1"
+        | Some (Binary Sign) -> "(if a1 >= 0.0 then Float.abs a0 else -. (Float.abs a0))"
+        | None ->
+            (* unknown name or arity: the shared error path *)
+            call
+              (spf "S.intrinsic %S [%s]" name
+                 (String.concat "; " (List.mapi (fun i _ -> spf "a%d" i) args)))
+      in
+      spf "(%s\n   %s%s)" (ptick flop) lets fn
 
 let rec pfc env (c : kfcond) : string =
   match c with
@@ -256,8 +279,8 @@ let add_line st ind s =
   Buffer.add_char st.b '\n'
 
 let store_put a ap =
-  spf "if slot >= 0 then Array.unsafe_set sd_%d slot x\n else Hashtbl.replace ss_%d (%s) x" a a
-    (access_enc ap)
+  spf "if slot >= 0 then Array.unsafe_set sd_%d slot x\n else %s" a
+    (call (spf "Hashtbl.replace ss_%d (%s) x" a (access_enc ap)))
 
 let rec estmt st ind env (s : kstmt) : unit =
   match s with
@@ -292,13 +315,13 @@ let rec estmt st ind env (s : kstmt) : unit =
              raise first, as in Compile), then fail *)
           add_line st ind (spf "let _ = %s in" (pe env lo));
           add_line st ind (spf "let _ = %s in" (pe env hi));
-          add_line st ind (spf "N.bad_step rt %S;" var)
+          add_line st ind (call (spf "C.bad_step rt %S" var) ^ ";")
       | _ ->
           let lv = spf "l%dz" n and sv = spf "s%dz" n in
           add_line st ind (spf "let %s = %s in" lv (pe env lo));
           add_line st ind (spf "let %s = %s in" hv (pe env hi));
           add_line st ind (spf "let %s = %s in" sv (pe env step));
-          add_line st ind (spf "(if %s <= 0 then N.bad_step rt %S);" sv var);
+          add_line st ind (spf "(if %s <= 0 then %s);" sv (call (spf "C.bad_step rt %S" var)));
           add_line st ind (spf "let %s = ref %s in" iv lv);
           add_line st ind (spf "while !%s <= %s do" iv hv);
           add_line st ind (spf "  let %s = !%s in" vv iv);
@@ -337,26 +360,30 @@ let rec estmt st ind env (s : kstmt) : unit =
       | Dhpf.Spmd.Local ->
           add_line st ind
             (spf
-               " (if C.st_sparse st_%d then begin\n%s    let enc = %s in\n%s    if not (C.owns_enc st_%d enc) then C.local_store_fail rt %d enc\n%s  end\n%s  else if slot < 0 then C.local_store_fail rt %d (%s));"
-               a ind (access_enc ap) ind a a ind ind a (access_enc ap))
+               " (if sp_%d then begin\n%s    let enc = %s in\n%s    if not %s then %s\n%s  end\n%s  else if slot < 0 then %s);"
+               a ind (access_enc ap) ind
+               (call (spf "C.owns_enc st_%d enc" a))
+               (call (spf "C.local_store_fail rt %d enc" a))
+               ind ind
+               (call (spf "C.local_store_fail rt %d (%s)" a (access_enc ap))))
       | Dhpf.Spmd.Overlay | Dhpf.Spmd.Global -> ());
       add_line st ind (spf " %s);" (store_put a ap))
   | KPack { event; arr; ap } ->
       add_line st ind (spf "(%s" (access_lets ~enc:true env ap));
       add_line st ind
         (spf
-           " let v = if slot >= 0 then Array.unsafe_get sd_%d slot else C.pack_miss rt %d enc in"
-           ap.ap_aid ap.ap_aid);
+           " let v = if slot >= 0 then Array.unsafe_get sd_%d slot else %s in" ap.ap_aid
+           (call (spf "C.pack_miss rt %d enc" ap.ap_aid)));
       add_line st ind
-        (spf " R.packbuf_push (Array.unsafe_get rt.C.r_packbufs %d) ~arr:%S enc v);"
-           event arr)
+        (spf " %s);"
+           (call (spf "R.packbuf_push (Array.unsafe_get rt.C.r_packbufs %d) ~arr:%S enc v" event arr)))
   | KSend { event; dest; inplace; rect } ->
       let vars = List.map (fun e -> (gensym st "d", e)) dest in
       add_line st ind "(";
       List.iter (fun (v, e) -> add_line st ind (spf " let %s = %s in" v (pe env e))) vars;
       add_line st ind (" " ^ flush_clk);
       add_line st ind
-        (spf " N.do_send ctx rt ~event:%d ~inplace:%b ~rect:%b [%s];" event inplace
+        (spf " C.do_send ctx rt ~event:%d ~inplace:%b ~rect:%b [%s];" event inplace
            rect
            (String.concat "; " (List.map fst vars)));
       add_line st ind (" " ^ reload_clk ^ ");")
@@ -366,22 +393,22 @@ let rec estmt st ind env (s : kstmt) : unit =
       List.iter (fun (v, e) -> add_line st ind (spf " let %s = %s in" v (pe env e))) vars;
       add_line st ind (" " ^ flush_clk);
       add_line st ind
-        (spf " N.do_recv ctx rt ~event:%d ~recv_o:%s ~unpack:%s [%s];" event
+        (spf " C.do_recv ctx rt ~event:%d ~recv_o:%s ~unpack:%s [%s];" event
            (pfloat recv_o) (pfloat unpack)
            (String.concat "; " (List.map fst vars)));
       add_line st ind (" " ^ reload_clk ^ ");")
   | KReduceArr { name; op } ->
       add_line st ind
-        (spf "(%s N.do_reduce_arr %S %s; %s);" flush_clk name (reduce_op op)
+        (spf "(%s C.do_reduce_arr %S %s; %s);" flush_clk name (reduce_op op)
            reload_clk)
   | KReduceScalar { slot; op } ->
       add_line st ind
-        (spf "(%s N.do_reduce_scalar rt %d %s; %s);" flush_clk slot
+        (spf "(%s C.do_reduce_scalar rt %d %s; %s);" flush_clk slot
            (reduce_op op) reload_clk)
   | KCall f ->
       add_line st ind
         (spf "(%s sub_%d ctx rt; %s);" flush_clk (st.sub_index f) reload_clk)
-  | KUnknownSub f -> add_line st ind (spf "N.unknown_sub rt %S;" f)
+  | KUnknownSub f -> add_line st ind (call (spf "C.unknown_sub rt %S" f) ^ ";")
 
 and reduce_op = function
   | Dhpf.Spmd.RSum -> "SP.RSum"
@@ -443,7 +470,7 @@ let emit_fn st header body =
   (* hoists: skew and slot arrays are immutable fields, store records are
      fixed for the run; the clock accumulates locally (see [ptick]) *)
   add "  let sk = rt.C.r_skew in\n";
-  add "  let clk = ref rt.C.r_clock in\n";
+  add "  let clk = ref rt.C.r_clk.C.c in\n";
   add "  let ri = rt.C.r_int in\n";
   add "  let fv = rt.C.r_fval in\n";
   add "  let fvb = rt.C.r_fvalid in\n";
@@ -454,10 +481,11 @@ let emit_fn st header body =
   List.iter
     (fun (a, nd) ->
       add (spf "  let st_%d = Array.unsafe_get rt.C.r_stores %d in\n" a a);
-      add (spf "  let dn_%d = st_%d.C.st_owned && not (C.st_sparse st_%d) in\n" a a a);
+      add (spf "  let dn_%d = st_%d.C.st_dense in\n" a a);
+      add (spf "  let sp_%d = C.st_sparse st_%d in\n" a a);
       add (spf "  let sd_%d = st_%d.C.st_data in\n" a a);
       add (spf "  let ss_%d = st_%d.C.st_side in\n" a a);
-      add (spf "  ignore dn_%d; ignore sd_%d; ignore ss_%d;\n" a a a);
+      add (spf "  ignore dn_%d; ignore sp_%d; ignore sd_%d; ignore ss_%d;\n" a a a a);
       for d = 0 to nd - 1 do
         add (spf "  let dm_%d_%d = Array.unsafe_get st_%d.C.st_dmaps %d in\n" a d a d);
         add (spf "  ignore dm_%d_%d;\n" a d);
@@ -488,13 +516,15 @@ let emit (k : kernel) : string =
   add "module N = Spmdsim.Native\n";
   add "module S = Spmdsim.Serial\n";
   add "module SP = Dhpf.Spmd\n\n";
+  add "let imax (a : int) b = if a >= b then a else b\n";
+  add "let imin (a : int) b = if a <= b then a else b\n\n";
   add (spf "(* %d int slots, %d float slots; %d subscript dims proven in-bounds, %d checked *)\n"
          k.k_nint k.k_nfloat k.k_proven k.k_unproven);
-  emit_fn st "let rec k_main (ctx : N.kctx) (rt : C.rt) : unit =\n" k.k_main;
+  emit_fn st "let rec k_main (ctx : C.kctx) (rt : C.rt) : unit =\n" k.k_main;
   Array.iteri
     (fun i (name, body) ->
       emit_fn st
-        (spf "\nand sub_%d (ctx : N.kctx) (rt : C.rt) : unit =\n  (* subroutine %s *)\n" i name)
+        (spf "\nand sub_%d (ctx : C.kctx) (rt : C.rt) : unit =\n  (* subroutine %s *)\n" i name)
         body)
     subs;
   add "\nlet () = N.register k_main\n";

@@ -1,10 +1,11 @@
 (** SPMD execution facade: runs the compiler's {!Dhpf.Spmd} programs on a
-    simulated distributed-memory machine, through one of two engines.
+    simulated distributed-memory machine, through one of three engines.
 
-    [`Closure] (the default, {!Compile}) lowers the program once into OCaml
-    closures with slot-resolved environments and dense per-processor array
-    blocks. [`Interp] is the original tree-walking interpreter, kept as the
-    differential oracle: both engines share {!Runtime}'s transport and
+    [`Closure] (the default, {!Compile}) and [`Native] ({!Native}) run the
+    program as lowered once by {!Imp}, as generated closures over dense
+    per-processor array blocks or as a dynlinked generated-OCaml kernel.
+    [`Interp], below, is the original tree-walking interpreter, kept as
+    the differential oracle: all engines share {!Runtime}'s transport and
     scheduler and charge clock time in the same order, so they produce
     bit-identical element values and identical message/byte/retransmit
     counters (asserted by the engine-differential property tests).
@@ -609,9 +610,10 @@ let comm_cells = function
   | SClosure cs | SNative cs -> Compile.comm_cells cs
   | SInterp s -> Runtime.comm_cells s.tr
 
-let get_elem = function
-  | SClosure cs | SNative cs -> Compile.get_elem cs
-  | SInterp s -> get_elem_interp s
+let get_elem sim name idx =
+  match sim with
+  | SClosure cs | SNative cs -> Compile.get_elem cs name idx
+  | SInterp s -> get_elem_interp s name idx
 
 let get_scalar = function
   | SClosure cs | SNative cs -> Compile.get_scalar cs

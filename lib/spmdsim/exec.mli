@@ -1,15 +1,17 @@
 (** SPMD execution facade: runs the compiler's {!Dhpf.Spmd} programs on a
     simulated distributed-memory machine through one of three engines.
 
-    [`Closure] (the default, {!Compile}) lowers the program once into OCaml
-    closures — integer names resolved to array slots, global parameters
-    folded to constants — and stores each processor's owned array section
-    in a dense [float array] block, so per-iteration cost is a closure call
-    instead of an AST match with hashtable lookups. [`Interp] is the
-    original tree-walking interpreter, kept as the differential oracle.
-    [`Native] ({!Native}) goes one step further and emits the lowered
-    program as OCaml source, compiled out-of-process and dynlinked, so
-    the inner loops run as straight-line machine code.
+    The two compiled engines share one lowering, {!Imp.lower}: integer
+    names resolved to array slots, global parameters folded to constants,
+    subscripts proved in bounds. [`Closure] (the default, {!Compile})
+    generates allocation-free OCaml closures from it and stores each
+    processor's owned array section in a dense [float array] block, so
+    per-iteration cost is a closure call instead of an AST match with
+    hashtable lookups. [`Native] ({!Native}) prints the same lowered
+    program as OCaml source, compiled out-of-process and dynlinked, so the
+    inner loops run as straight-line machine code. [`Interp] is the
+    original tree-walking interpreter, kept as the differential oracle: it
+    is the one engine that does not go through {!Imp}.
 
     All engines share {!Runtime}'s transport and scheduler and charge
     clock time in the same order: runs are bit-identical in element values

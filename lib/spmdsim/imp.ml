@@ -1,4 +1,5 @@
-(* Imperative kernel IR for the native engine.
+(* Imperative kernel IR: the one lowering of the SPMD IR, shared by the
+   closure engine ({!Compile}) and the native engine ({!Emit}).
 
    [lower] flattens an [Spmd] program into loops over integer ranges,
    float-slot loads/stores into the dense owned-section arrays of
@@ -7,20 +8,25 @@
    happens here, once: integer names become [r_int] slots, replicated
    scalars become [r_fval] slots, arrays become store ids, global
    parameters fold into constants, and machine costs become literals
-   attached to the nodes that charge them. The result is what {!Emit}
-   prints as a standalone OCaml program.
+   attached to the nodes that charge them. {!Compile} turns the result
+   into closures; {!Emit} prints it as a standalone OCaml program. Both
+   index the per-processor arrays {!Compile.make_with} sizes from the
+   kernel's slot counts.
 
-   Slot allocation replicates {!Compile.make}'s traversal order exactly
-   ([m$k], [vm$k], declared scalars, assigned scalars, main, then
-   subroutines in declaration order) so the kernel's slot numbers index the
-   very arrays the closure engine builds; {!Native.make} asserts the two
-   tables agree.
+   Slots are allocated in a fixed order: [m$k], [vm$k], declared scalars,
+   assigned scalars, then the main program and the subroutines in
+   declaration order (the latest body of a duplicated name, at its first
+   occurrence).
 
    Lowering also runs an interval analysis ({!Iset.Codegen.interval_of_expr})
    over every subscript: a dimension whose index provably stays inside the
    array's declared bounds is marked [da_proven], licensing an unchecked
-   access in the emitted kernel. Proofs never change observable behavior —
-   they only remove comparisons that cannot fire. *)
+   access in both engines. Proofs never change observable behavior — they
+   only remove comparisons that cannot fire. A loop variable's interval
+   therefore ends wherever its shared slot may be rewritten: after an
+   inner loop over the same name, after a call into a subroutine that
+   loops over it, and, for the names a loop body rewrites anywhere,
+   throughout that body. *)
 
 open Dhpf
 
@@ -64,6 +70,7 @@ type dim_access = {
 type access_plan = {
   ap_aid : int;
   ap_arr : string;
+  ap_am : Runtime.ameta;
   ap_dims : dim_access array;
 }
 
@@ -124,8 +131,9 @@ type kernel = {
   k_subs : (string * kstmt list) list;  (* declaration order *)
   k_nint : int;
   k_nfloat : int;
-  k_vm_slots : int array;
-  k_islots : (string * int) list;  (* sorted, for the table cross-check *)
+  k_m_slots : int array;  (* slot of m$k per processor dimension *)
+  k_vm_slots : int array;  (* slot of vm$k *)
+  k_islots : (string * int) list;  (* every slot by name, sorted *)
   k_fslots : (string * int) list;
   k_proven : int;  (* subscript dimensions proved in-bounds *)
   k_unproven : int;  (* subscript dimensions that keep the runtime check *)
@@ -146,14 +154,13 @@ type lctx = {
   l_ameta : Runtime.ameta array;
   l_inplace : (int, unit) Hashtbl.t;
   l_rect : (int, unit) Hashtbl.t;
-  l_subs : (string, unit) Hashtbl.t;  (* defined subroutine names *)
   l_ranges : (string, Iset.Codegen.interval) Hashtbl.t;
       (* interval bindings for enclosing loop variables and m$k *)
+  l_subs : (string, Spmd.stmt list) Hashtbl.t;  (* latest body by name *)
   mutable l_proven : int;
   mutable l_unproven : int;
 }
 
-(* identical allocate-on-miss discipline as Compile.islot/fslot *)
 let islot ctx name =
   match Hashtbl.find_opt ctx.l_islots name with
   | Some s -> s
@@ -191,10 +198,9 @@ let interval ctx e = Iset.Codegen.interval_of_expr (ienv ctx) e
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors Compile.cexpr: slots win over globals; the same constant folds
-   happen here so the emitted literals equal the closure engine's folded
-   constants. Integer evaluation is pure (no clock charges), so residual
-   shape differences cannot affect observable behavior. *)
+(* Slots win over globals; sub-expressions over constants fold. Integer
+   evaluation is pure (no clock charges), so folding cannot affect
+   observable behavior. *)
 let rec lexpr ctx (e : Spmd.expr) : iexpr =
   let open Iset.Codegen in
   match e with
@@ -295,11 +301,17 @@ let laccess ctx arr (idx : Spmd.expr list) : access_plan =
            })
          idx)
   in
-  { ap_aid = aid; ap_arr = arr; ap_dims = dims }
+  { ap_aid = aid; ap_arr = arr; ap_am = am; ap_dims = dims }
 
 (* ------------------------------------------------------------------ *)
 (* Float expressions                                                   *)
 (* ------------------------------------------------------------------ *)
+
+let access_name = function
+  | Spmd.Local -> "Local"
+  | Spmd.Overlay -> "Overlay"
+  | Spmd.Checked -> "Checked"
+  | Spmd.Global -> "Global"
 
 let rec lfexpr ctx (e : Spmd.fexpr) : kfexpr =
   let m = ctx.l_machine in
@@ -323,7 +335,7 @@ let rec lfexpr ctx (e : Spmd.fexpr) : kfexpr =
       KFLoad
         {
           ap = laccess ctx arr idx;
-          aname = Compile.access_name access;
+          aname = access_name access;
           checked = access = Spmd.Checked;
           flop = m.Machine.flop_time;
           check = m.Machine.check_time;
@@ -346,27 +358,48 @@ let rec lfcond ctx (c : Spmd.fcond) : kfcond =
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The names whose shared integer slots running [body] may rewrite: the
+   variables of its loops and of the loops of every subroutine it calls,
+   transitively (only loops write integer slots). *)
+let clobbers ctx body =
+  let seen = Hashtbl.create 8 and acc = ref [] in
+  let rec walk body =
+    Spmd.iter_stmts
+      (function
+        | Spmd.For { var; _ } -> acc := var :: !acc
+        | Spmd.Call f when not (Hashtbl.mem seen f) ->
+            Hashtbl.replace seen f ();
+            walk (Option.value ~default:[] (Hashtbl.find_opt ctx.l_subs f))
+        | _ -> ())
+      body
+  in
+  walk body;
+  !acc
+
 let rec lstmt ctx (s : Spmd.stmt) : kstmt list =
   let m = ctx.l_machine in
   match s with
   | Spmd.Comment _ -> []
-  | Spmd.For { var; lo; hi; step; body } ->
-      (* same order as Compile: bounds and step lowered before the loop
-         variable's slot is (possibly) allocated *)
+  | Spmd.For { var; lo; hi; step; body = sbody } ->
+      (* bounds and step are lowered before the loop variable's slot is
+         (possibly) allocated *)
       let llo = lexpr ctx lo and lhi = lexpr ctx hi in
       let lst = lexpr ctx step in
       let slot = islot ctx var in
-      (* bind the variable's interval for the body: when the body runs, the
-         loop counter lies between the lower bound's minimum and the upper
-         bound's maximum (steps are positive at runtime) *)
+      (* bind the variable's interval for the body: each iteration writes
+         the counter, which lies between the lower bound's minimum and the
+         upper bound's maximum (bounds are evaluated once, steps are
+         positive at runtime). Other names the body clobbers are unknown in
+         all of it: a later iteration reads them after the clobber. *)
       let ivlo = interval ctx lo and ivhi = interval ctx hi in
-      let saved = Hashtbl.find_opt ctx.l_ranges var in
+      List.iter
+        (fun v -> if v <> var then Hashtbl.remove ctx.l_ranges v)
+        (clobbers ctx sbody);
       Hashtbl.replace ctx.l_ranges var
         { Iset.Codegen.ilo = ivlo.Iset.Codegen.ilo; ihi = ivhi.Iset.Codegen.ihi };
-      let body = lstmts ctx body in
-      (match saved with
-      | Some iv -> Hashtbl.replace ctx.l_ranges var iv
-      | None -> Hashtbl.remove ctx.l_ranges var);
+      let body = lstmts ctx sbody in
+      (* the slot keeps the last counter, not an enclosing loop's value *)
+      Hashtbl.remove ctx.l_ranges var;
       [
         KFor
           { slot; var; lo = llo; hi = lhi; step = lst; body; loopt = m.Machine.loop_time };
@@ -424,6 +457,7 @@ let rec lstmt ctx (s : Spmd.stmt) : kstmt list =
         let slot = fslot ctx scalar in
         [ KReduceScalar { slot; op } ]
   | Spmd.Call f ->
+      List.iter (Hashtbl.remove ctx.l_ranges) (clobbers ctx [ s ]);
       if Hashtbl.mem ctx.l_subs f then [ KCall f ] else [ KUnknownSub f ]
 
 and lstmts ctx body = List.concat_map (lstmt ctx) body
@@ -440,8 +474,10 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
       if e.Spmd.ev_inplace then Hashtbl.replace inplace e.Spmd.ev_id ();
       if e.Spmd.ev_rect then Hashtbl.replace rect e.Spmd.ev_id ())
     prog.Spmd.events;
-  let subs = Hashtbl.create 8 in
-  List.iter (fun (name, _) -> Hashtbl.replace subs name ()) prog.Spmd.subs;
+  (* one body per subroutine *name*: a duplicate definition replaces the
+     earlier one, lowered at the first occurrence of the name *)
+  let latest = Hashtbl.create 8 in
+  List.iter (fun (name, body) -> Hashtbl.replace latest name body) prog.Spmd.subs;
   let ctx =
     {
       l_genv = genv;
@@ -454,13 +490,14 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
       l_ameta = ameta;
       l_inplace = inplace;
       l_rect = rect;
-      l_subs = subs;
       l_ranges = Hashtbl.create 16;
+      l_subs = latest;
       l_proven = 0;
       l_unproven = 0;
     }
   in
-  (* replicate Compile.make's slot preallocation order exactly *)
+  (* pre-allocate coordinate and scalar slots so every lowered reference
+     resolves to the same cell the startup code fills *)
   let ndim = List.length prog.Spmd.proc_dims in
   let m_slots =
     Array.init ndim (fun k -> islot ctx (Printf.sprintf "m$%d" (k + 1)))
@@ -472,23 +509,18 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
   List.iter
     (fun s -> if not (Hashtbl.mem arrays s) then ignore (fslot ctx s))
     (Spmd.assigned_scalars prog);
-  (* the processor's own grid coordinates are fixed for a whole run *)
+  (* the processor's own grid coordinates are fixed for a whole run,
+     unless a loop the program runs writes them *)
+  let looped = clobbers ctx prog.Spmd.main in
   Array.iteri
-    (fun k slot ->
-      ignore slot;
-      Hashtbl.replace ctx.l_ranges
-        (Printf.sprintf "m$%d" (k + 1))
-        (Iset.Codegen.itv ~lo:0 ~hi:(extents.(k) - 1) ()))
+    (fun k _ ->
+      let name = Printf.sprintf "m$%d" (k + 1) in
+      if not (List.mem name looped) then
+        Hashtbl.replace ctx.l_ranges name
+          (Iset.Codegen.itv ~lo:0 ~hi:(extents.(k) - 1) ()))
     m_slots;
   let base_ranges = Hashtbl.copy ctx.l_ranges in
   let k_main = lstmts ctx prog.Spmd.main in
-  (* Compile.make registers one lazy per subroutine *name* (a duplicate
-     definition replaces the earlier lazy) and forces them in declaration
-     order, so the latest body of each name is compiled at the *first*
-     occurrence of that name. Replicate both facts, or slot allocation
-     order would diverge on shadowed subroutines. *)
-  let latest = Hashtbl.create 8 in
-  List.iter (fun (name, body) -> Hashtbl.replace latest name body) prog.Spmd.subs;
   let emitted = Hashtbl.create 8 in
   let k_subs =
     List.filter_map
@@ -512,6 +544,7 @@ let lower ?(machine = Machine.default) ~genv ~extents ~arrays ~ameta
     k_subs;
     k_nint = ctx.l_nint;
     k_nfloat = ctx.l_nfloat;
+    k_m_slots = m_slots;
     k_vm_slots = vm_slots;
     k_islots = sorted ctx.l_islots;
     k_fslots = sorted ctx.l_fslots;

@@ -1,22 +1,22 @@
 (* Native execution engine: Spmd -> Imp -> generated OCaml -> cmxs.
 
-   [make] builds the closure engine's sim ({!Compile.make} — setup, dense
-   storage, transport, slot tables), lowers the program again through
-   {!Imp.lower} (asserting the two slot tables agree), prints the kernel
-   with {!Emit.emit}, compiles it out-of-process with
-   [ocamlfind ocamlopt -shared] into a cache directory keyed on a hash of
-   the emitted source (plus compiler version and the lib .cmi digests, so
-   a rebuilt tree never reuses stale kernels), dynlinks the result, and
-   returns the csim with [c_main] swapped for the generated entry point.
-   Everything outside the kernel body — run loop, reductions, result
-   inspection, checkpoint capture — is {!Compile}'s code operating on the
-   same state records, so structural identity with the closure engine is
-   by construction; the kernel itself replicates Compile's clock-charge
-   and FP-evaluation order (verified bit-exactly by {!Diffcheck.engines}).
+   [make] sets the machine up and lowers the program exactly as the
+   closure engine does ({!Compile.make_with}: setup, dense storage,
+   transport, the one {!Imp.lower}), prints the kernel with {!Emit.emit},
+   compiles it out-of-process with [ocamlfind ocamlopt -shared] into a
+   cache directory keyed on a hash of the emitted source (plus compiler
+   version and the lib unit digests, so a rebuilt tree never reuses stale
+   kernels), dynlinks the result and uses its entry point as the sim's
+   main. Everything outside the kernel body — run loop, communication,
+   reductions, result inspection, checkpoint capture — is {!Compile}'s
+   code operating on the same state records, so structural identity with
+   the closure engine is by construction; the kernel itself reproduces the
+   closure engine's clock-charge and FP-evaluation order (verified
+   bit-exactly by {!Diffcheck.engines}).
 
-   The generated unit calls back into this module: [register] hands over
-   the entry point at load time, and the [do_*] / failure helpers keep
-   transport interaction and error messages engine-identical.
+   The generated unit hands its entry point over through [register] at
+   load time, and calls {!Compile}'s cold paths and communication helpers
+   so errors and transport interaction are engine-identical.
 
    Loading requires the host executable to be linked with [-linkall]
    (dune [link_flags]); the emitted unit references library modules the
@@ -24,74 +24,12 @@
 
 let errf = Runtime.errf
 
-(* ------------------------------------------------------------------ *)
-(* Kernel-facing runtime                                               *)
-(* ------------------------------------------------------------------ *)
-
-type kctx = {
-  k_tr : Runtime.transport;
-  k_phys : int list -> int;
-  k_arrays : (string, int) Hashtbl.t;
-  k_vm_slots : int array;
-}
-
-type kernel_fn = kctx -> Compile.rt -> unit
+type kernel_fn = Compile.kctx -> Compile.rt -> unit
 
 (* handoff slot: the dynlinked unit's top-level [let () = N.register ...]
    runs during loadfile, and [obtain] picks the closure up right after *)
 let pending : kernel_fn option ref = ref None
 let register f = pending := Some f
-
-let bad_step (rt : Compile.rt) var =
-  errf "proc %d: non-positive loop step for %s" rt.Compile.r_pid var
-
-let unbound_int (rt : Compile.rt) name =
-  errf "proc %d: unbound integer name %s" rt.Compile.r_pid name
-
-let unknown_sub (rt : Compile.rt) f =
-  errf "proc %d: unknown subroutine %s" rt.Compile.r_pid f
-
-let my_vp ctx (rt : Compile.rt) =
-  Array.to_list (Array.map (fun s -> rt.Compile.r_int.(s)) ctx.k_vm_slots)
-
-let do_send ctx (rt : Compile.rt) ~event ~inplace ~rect dest_vp =
-  let pl = Runtime.packbuf_flush rt.Compile.r_packbufs.(event) in
-  Runtime.send ctx.k_tr
-    ~tick:(fun dt -> Compile.tick rt dt)
-    ~get_clock:(fun () -> rt.Compile.r_clock)
-    ~pid:rt.Compile.r_pid ~dst_pid:(ctx.k_phys dest_vp) ~event
-    ~src_vp:(my_vp ctx rt) ~dst_vp:dest_vp ~inplace ~rect pl
-
-let do_recv ctx (rt : Compile.rt) ~event ~recv_o ~unpack src_vp =
-  let k = { Runtime.k_event = event; k_src = src_vp; k_dst = my_vp ctx rt } in
-  let t0 = rt.Compile.r_clock in
-  let msg = Effect.perform (Runtime.ERecv k) in
-  Compile.tick rt recv_o;
-  rt.Compile.r_clock <- Float.max rt.Compile.r_clock msg.Runtime.m_arrival;
-  let pl = msg.Runtime.m_payload in
-  let n = Array.length pl.Runtime.pl_idx in
-  if not msg.Runtime.m_contig then Compile.tick rt (float_of_int n *. unpack);
-  if n > 0 then begin
-    let st =
-      match Hashtbl.find_opt ctx.k_arrays pl.Runtime.pl_arr with
-      | Some aid -> rt.Compile.r_stores.(aid)
-      | None -> errf "unknown array %s" pl.Runtime.pl_arr
-    in
-    for i = 0 to n - 1 do
-      Compile.put_enc st pl.Runtime.pl_idx.(i) pl.Runtime.pl_val.(i)
-    done
-  end;
-  Runtime.trace_recv ctx.k_tr ~tid:rt.Compile.r_pid ~t0 ~t1:rt.Compile.r_clock k msg
-
-let do_reduce_arr name op = Effect.perform (Runtime.EReduceArr (name, op))
-
-let do_reduce_scalar (rt : Compile.rt) slot op =
-  let mine =
-    if rt.Compile.r_fvalid.(slot) then rt.Compile.r_fval.(slot) else 0.0
-  in
-  let combined = Effect.perform (Runtime.EReduce (op, mine)) in
-  rt.Compile.r_fval.(slot) <- combined;
-  rt.Compile.r_fvalid.(slot) <- true
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-process build, hash-keyed cache, dynlink                     *)
@@ -330,34 +268,17 @@ let presize_packbufs (cs : Compile.csim) ?params ~nprocs prog =
 (* Engine construction                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let sorted_tbl tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-
-let make ?(machine = Machine.default) ?faults ?domains ?cache_dir ~nprocs
-    ?params (prog : Dhpf.Spmd.program) : Compile.csim =
-  let cs = Compile.make ~machine ?faults ?domains ~nprocs ?params prog in
-  let kernel =
-    Imp.lower ~machine ~genv:cs.Compile.c_su.Runtime.su_genv
-      ~extents:cs.Compile.c_su.Runtime.su_extents ~arrays:cs.Compile.c_arrays
-      ~ameta:cs.Compile.c_ameta prog
-  in
-  if
-    sorted_tbl cs.Compile.c_islots <> kernel.Imp.k_islots
-    || sorted_tbl cs.Compile.c_fslots <> kernel.Imp.k_fslots
-  then
-    errf
-      "native engine: lowered slot tables diverge from the closure engine (internal invariant)";
+let make ?machine ?faults ?domains ?cache_dir ~nprocs ?params
+    (prog : Dhpf.Spmd.program) : Compile.csim =
   let cache_dir =
     match cache_dir with Some d -> d | None -> default_cache_dir ()
   in
-  let fn = obtain ~cache_dir kernel in
-  let kctx =
-    {
-      k_tr = cs.Compile.c_tr;
-      k_phys = Compile.phys_of_vp cs;
-      k_arrays = cs.Compile.c_arrays;
-      k_vm_slots = kernel.Imp.k_vm_slots;
-    }
+  let cs =
+    Compile.make_with
+      (fun kctx kernel ->
+        let fn = obtain ~cache_dir kernel in
+        fun rt -> fn kctx rt)
+      ?machine ?faults ?domains ~nprocs ?params prog
   in
   presize_packbufs cs ?params ~nprocs prog;
-  { cs with Compile.c_main = (fun rt -> fn kctx rt) }
+  cs

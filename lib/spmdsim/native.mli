@@ -1,13 +1,13 @@
 (** Native execution engine — the third engine behind {!Exec.make}.
 
-    Lowers the SPMD program to the imperative kernel IR ({!Imp}), prints
-    it as a standalone OCaml compilation unit ({!Emit}), compiles that
-    unit out-of-process with [ocamlfind ocamlopt -shared] into a cache
-    directory keyed on a hash of the emitted source (plus the compiler
-    version and library interface digests), dynlinks the result, and runs
-    it in place of the closure engine's compiled main. Setup, storage,
-    transport, scheduling and result inspection are {!Compile}'s, shared
-    verbatim — [make] returns a plain {!Compile.csim} — so the engine is
+    Takes the kernel the closure engine's one lowering produces ({!Imp}),
+    prints it as a standalone OCaml compilation unit ({!Emit}), compiles
+    that unit out-of-process with [ocamlfind ocamlopt -shared] into a
+    cache directory keyed on a hash of the emitted source (plus the
+    compiler version and library unit digests), dynlinks the result, and
+    runs it in place of the closure engine's generated main. Setup,
+    storage, transport, scheduling and result inspection are {!Compile}'s,
+    shared verbatim — [make] returns a plain {!Compile.csim} — so the engine is
     bit-identical to the closure engine (and hence the interpreter) in
     element values, clocks, counters and per-pair communication cells;
     {!Diffcheck.engines} asserts this three-way.
@@ -19,45 +19,11 @@
     Host executables must link with [-linkall] so the dynlinked kernel
     finds every library module. *)
 
-type kctx
-(** Per-sim context threaded through the generated kernel: transport,
-    VP-to-physical mapping, array ids, [vm$k] slots. *)
-
-type kernel_fn = kctx -> Compile.rt -> unit
+type kernel_fn = Compile.kctx -> Compile.rt -> unit
 
 val register : kernel_fn -> unit
 (** Called by the dynlinked unit's top-level initializer to hand its entry
     point to the loader. *)
-
-(** {1 Kernel runtime}
-
-    Called from emitted code only; each replicates the corresponding
-    closure-engine path exactly (clock charges, effects, error texts). *)
-
-val bad_step : Compile.rt -> string -> 'a
-val unbound_int : Compile.rt -> string -> 'a
-val unknown_sub : Compile.rt -> string -> 'a
-
-val do_send :
-  kctx ->
-  Compile.rt ->
-  event:int ->
-  inplace:bool ->
-  rect:bool ->
-  int list ->
-  unit
-
-val do_recv :
-  kctx ->
-  Compile.rt ->
-  event:int ->
-  recv_o:float ->
-  unpack:float ->
-  int list ->
-  unit
-
-val do_reduce_arr : string -> Dhpf.Spmd.reduce_op -> unit
-val do_reduce_scalar : Compile.rt -> int -> Dhpf.Spmd.reduce_op -> unit
 
 (** {1 Engine construction} *)
 

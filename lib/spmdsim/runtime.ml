@@ -128,17 +128,18 @@ let ameta ~eval (ad : Spmd.array_decl) : ameta =
     am_base = !base }
 
 (** Global linear index of [idx], bounds-checked. *)
-let encode (m : ameta) (idx : int list) : int =
-  let off = ref (-m.am_base) in
-  List.iteri
-    (fun i x ->
+let rec encode_from (m : ameta) i off = function
+  | [] -> off
+  | x :: rest ->
       let lo, hi = m.am_bounds.(i) in
       if x < lo || x > hi then
         errf "array %s: index %d outside [%d,%d] (dim %d)" m.am_name x lo hi
           (i + 1);
-      off := !off + (x * m.am_strides.(i)))
-    idx;
-  !off
+      encode_from m (i + 1) (off + (x * m.am_strides.(i))) rest
+
+(* a loop, not a closure over an accumulator: the interpreter encodes
+   every access, and result inspection every element *)
+let encode (m : ameta) (idx : int list) : int = encode_from m 0 (-m.am_base) idx
 
 (* ------------------------------------------------------------------ *)
 (* Ownership and VP mapping (shared formulas; engines differ only in     *)

@@ -112,21 +112,34 @@ let stage_offset st a idx =
     for d = 0 to n - 1 do check a d xs.(d); off := !off + (xs.(d) * a.strides.(d)) done;
     !off
 
-(* The intrinsics by arity, so a staged call resolves its function once. *)
-let unary = function
-  | "abs" -> Some Float.abs | "sqrt" -> Some sqrt | "exp" -> Some exp
-  | "log" -> Some log | "sin" -> Some sin | "cos" -> Some cos
-  | "float" -> Some Fun.id | _ -> None
+(* The intrinsics: names and arities resolve here, once, to a constructor
+   that every engine matches on. *)
+type unop = Abs | Sqrt | Exp | Log | Sin | Cos | Float
+type binop = Max | Min | Mod | Sign
+type intrin = Unary of unop | Binary of binop
 
-let binary = function
-  | "max" -> Some Float.max | "min" -> Some Float.min | "mod" -> Some Float.rem
-  | "sign" -> Some (fun a b -> if b >= 0.0 then Float.abs a else -.Float.abs a)
+let intrinsic_op name arity =
+  match (name, arity) with
+  | "abs", 1 -> Some (Unary Abs) | "sqrt", 1 -> Some (Unary Sqrt)
+  | "exp", 1 -> Some (Unary Exp) | "log", 1 -> Some (Unary Log)
+  | "sin", 1 -> Some (Unary Sin) | "cos", 1 -> Some (Unary Cos)
+  | "float", 1 -> Some (Unary Float)
+  | "max", 2 -> Some (Binary Max) | "min", 2 -> Some (Binary Min)
+  | "mod", 2 -> Some (Binary Mod) | "sign", 2 -> Some (Binary Sign)
   | _ -> None
 
+let unary = function
+  | Abs -> Float.abs | Sqrt -> sqrt | Exp -> exp | Log -> log | Sin -> sin
+  | Cos -> cos | Float -> Fun.id
+
+let binary = function
+  | Max -> Float.max | Min -> Float.min | Mod -> Float.rem
+  | Sign -> fun a b -> if b >= 0.0 then Float.abs a else -.Float.abs a
+
 let intrinsic name args =
-  match (args, unary name, binary name) with
-  | [ x ], Some f, _ -> f x
-  | [ a; b ], _, Some f -> f a b
+  match (intrinsic_op name (List.length args), args) with
+  | Some (Unary f), [ x ] -> unary f x
+  | Some (Binary f), [ a; b ] -> binary f a b
   | _ -> errf "unknown intrinsic %s/%d" name (List.length args)
 
 let rec stage_f st (e : Ast.fexpr) : unit -> float =
@@ -157,9 +170,11 @@ let rec stage_f st (e : Ast.fexpr) : unit -> float =
         (match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y)
   | FCall (f, args) -> (
       let args = List.map (stage_f st) args in
-      match (args, unary f, binary f) with
-      | [ a ], Some g, _ -> fun () -> tick st; g (a ())
-      | [ a; b ], _, Some g -> fun () -> tick st; let x = a () in g x (b ())
+      match (intrinsic_op f (List.length args), args) with
+      | Some (Unary g), [ a ] -> let g = unary g in fun () -> tick st; g (a ())
+      | Some (Binary g), [ a; b ] ->
+          let g = binary g in
+          fun () -> tick st; let x = a () in g x (b ())
       | _ -> fun () -> tick st; intrinsic f (List.map (fun a -> a ()) args))
 
 let rec stage_c st (c : Ast.cond) : unit -> bool =

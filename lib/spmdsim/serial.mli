@@ -17,7 +17,8 @@
 
     The oracle shares no lowering with the engines it checks ({!Compile},
     {!Exec}): a bug in a shared closure builder would agree with itself.
-    {!intrinsic} is the one piece they take from here. *)
+    The intrinsic table ({!intrinsic_op}, {!intrinsic}) is the one piece
+    they take from here. *)
 
 exception Error of string
 
@@ -27,9 +28,18 @@ val eval_iexpr : state -> Hpf.Ast.iexpr -> int
 (** Evaluate an integer expression against a finished run's parameters
     (e.g. array bounds). *)
 
+type unop = Abs | Sqrt | Exp | Log | Sin | Cos | Float
+type binop = Max | Min | Mod | Sign
+type intrin = Unary of unop | Binary of binop
+
+val intrinsic_op : string -> int -> intrin option
+(** The floating-point intrinsic of a name and arity (abs, sqrt, exp, log,
+    sin, cos, float; max, min, mod, sign), or [None]. The one table of
+    intrinsic names: the engines that inline intrinsics match on its
+    constructors. *)
+
 val intrinsic : string -> float list -> float
-(** The floating-point intrinsics (abs, sqrt, exp, log, sin, cos, float,
-    max, min, mod, sign), shared with the SPMD engines.
+(** Apply the intrinsic of a name to its arguments.
     @raise Error on an unknown name or arity. *)
 
 type result = {

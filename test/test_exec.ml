@@ -513,6 +513,27 @@ let prop_engines_differential =
           | exception Dhpf.Layout.Unsupported _ -> QCheck.assume_fail ())
       | exception Hpf.Sema.Error _ -> QCheck.assume_fail ())
 
+(* The closure engine's hot path allocates nothing: what a run allocates
+   is per message and per collective. Ceilings are twice the measured
+   minor words (9,455 and 29,939 words); boxing any per-element value
+   again (the clock, an access result, a float operand) costs at least a
+   word per element and blows through them — the engine before the
+   allocation-free generator took 1,178,143 and 1,271,324. *)
+let test_closure_allocation () =
+  List.iter
+    (fun (name, src, nprocs, ceiling) ->
+      let prog = (compile src).Gen.cprog in
+      let sim = Spmdsim.Exec.make ~engine:`Closure ~domains:1 ~nprocs prog in
+      let w0 = Gc.minor_words () in
+      ignore (Spmdsim.Exec.run sim);
+      let words = Gc.minor_words () -. w0 in
+      if words > ceiling then
+        Alcotest.failf "%s: %.0f minor words, ceiling %.0f" name words ceiling)
+    [
+      ("JACOBI-64", Codes.jacobi ~n:64 ~iters:2 ~procs:(Codes.Symbolic2 2) (), 4, 20_000.);
+      ("TOMCATV-33", Codes.tomcatv ~n:33 ~iters:2 ~procs:(Codes.Symbolic2 1) (), 4, 60_000.);
+    ]
+
 let () =
   Alcotest.run "exec"
     [
@@ -536,6 +557,8 @@ let () =
           Alcotest.test_case "engines agree on gauss" `Quick
             test_engines_agree_gauss;
           QCheck_alcotest.to_alcotest prop_engines_differential;
+          Alcotest.test_case "closure run allocation ceiling" `Quick
+            test_closure_allocation;
         ] );
       ( "serial",
         [
