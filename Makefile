@@ -33,11 +33,10 @@ bench-run-smoke:
 bench-run:
 	$(DUNE) exec bench/main.exe -- run-json > BENCH_run.json
 
-# Domain-parallel smoke: the sharded-lane scheduler must stay bit-identical
-# to the sequential one (always checked), and on hosts with >= 2 cores the
-# parallel compile and simulation must beat 1 domain by
-# DHPF_PAR_SMOKE_MIN_SPEEDUP (default 1.5x); single-core hosts skip the
-# speedup half with a message.
+# Domain-parallel smoke: the SP compile must print byte-identically at 1
+# and d domains (always checked), and on hosts with >= 2 cores the
+# parallel compile must beat 1 domain by DHPF_PAR_SMOKE_MIN_SPEEDUP
+# (default 1.5x); single-core hosts skip the speedup half with a message.
 bench-par-smoke:
 	$(DUNE) exec bench/main.exe -- par-smoke
 

@@ -429,8 +429,6 @@ type run_row = {
   rr_closure_s : float;
   rr_stats : Spmdsim.Exec.stats;
   rr_counters_equal : bool;
-  rr_domains : (int * float * bool) list;
-      (* sharded-lane sweep: domains, wall_s, counters bit-equal to 1-domain *)
   rr_matrix : (int * int * int * int * int) list;
       (* aggregated comm matrix: src, dst, msgs, elems, bytes *)
   rr_metrics : (string * float) list;  (* selected scalar series *)
@@ -441,26 +439,6 @@ let time_engine engine prog nprocs =
   let sim = Spmdsim.Exec.make ~engine ~nprocs prog in
   let stats = Spmdsim.Exec.run sim in
   (Unix.gettimeofday () -. t0, stats)
-
-(* Closure-engine wall clock with processor lanes sharded over [domains];
-   also reports whether every transport counter and the simulated clock
-   are bit-equal to the reference stats (they must be — the parallel
-   scheduler's contract, enforced hard by the test suite and re-checked
-   here because the bench is where a silent divergence would first show
-   up in the wild). *)
-let time_domains ~domains prog nprocs (ref_stats : Spmdsim.Exec.stats) =
-  let t0 = Unix.gettimeofday () in
-  let sim = Spmdsim.Exec.make ~domains ~nprocs prog in
-  let stats = Spmdsim.Exec.run sim in
-  let wall = Unix.gettimeofday () -. t0 in
-  let eq =
-    stats.Spmdsim.Exec.s_time = ref_stats.Spmdsim.Exec.s_time
-    && stats.s_msgs = ref_stats.s_msgs
-    && stats.s_bytes = ref_stats.s_bytes
-    && stats.s_elems = ref_stats.s_elems
-    && stats.s_retransmits = ref_stats.s_retransmits
-  in
-  (wall, eq)
 
 (* One extra metered (untimed) closure run per workload. The timed runs
    stay unmetered so engine timings are not polluted by registry upkeep;
@@ -601,13 +579,6 @@ let bench_run_json ~smoke () =
           && si.s_retransmits = sc.s_retransmits
           && si.s_time = sc.s_time
         in
-        let dsweep =
-          List.map
-            (fun d ->
-              let w, deq = time_domains ~domains:d compiled.Dhpf.Gen.cprog nprocs sc in
-              (d, w, deq))
-            domain_sweep
-        in
         let cells, snap = metered_run compiled.Dhpf.Gen.cprog nprocs in
         {
           rr_name = name;
@@ -618,7 +589,6 @@ let bench_run_json ~smoke () =
           rr_closure_s = tc;
           rr_stats = sc;
           rr_counters_equal = eq;
-          rr_domains = dsweep;
           rr_matrix = comm_matrix cells;
           rr_metrics = List.map (fun n -> (n, snap_scalar snap n)) embedded_series;
         })
@@ -628,7 +598,7 @@ let bench_run_json ~smoke () =
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let ckpt_rows = ckpt_sweep ~smoke () in
   pf "{\n";
-  pf "  \"schema\": \"dhpf-bench-run/5\",\n";
+  pf "  \"schema\": \"dhpf-bench-run/6\",\n";
   pf "  \"mode\": \"%s\",\n" (if smoke then "smoke" else "full");
   pf "  \"host_cores\": %d,\n" (Par.recommended ());
   pf "  \"workloads\": [\n";
@@ -649,21 +619,6 @@ let bench_run_json ~smoke () =
       pf "      \"closure_wall_s\": %.6f,\n" r.rr_closure_s;
       pf "      \"speedup\": %.2f,\n" (r.rr_interp_s /. r.rr_closure_s);
       pf "      \"counters_equal\": %b,\n" r.rr_counters_equal;
-      pf "      \"sim_domains\": [\n";
-      (let t1 =
-         match r.rr_domains with (1, w, _) :: _ -> w | _ -> r.rr_closure_s
-       in
-       List.iteri
-         (fun j (d, w, deq) ->
-           pf
-             "        {\"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.2f, \
-              \"bit_identical\": %b}%s\n"
-             d w
-             (t1 /. Float.max w 1e-9)
-             deq
-             (if j + 1 < List.length r.rr_domains then "," else ""))
-         r.rr_domains);
-      pf "      ],\n";
       pf "      \"sim\": {\n";
       pf "        \"time_s\": %.9f,\n" r.rr_stats.Spmdsim.Exec.s_time;
       pf "        \"msgs\": %d,\n" r.rr_stats.s_msgs;
@@ -720,11 +675,6 @@ let run_json () = ignore (bench_run_json ~smoke:false ())
 let run_smoke () =
   let rows = bench_run_json ~smoke:true () in
   let bad_counters = List.filter (fun r -> not r.rr_counters_equal) rows in
-  let bad_domains =
-    List.filter
-      (fun r -> List.exists (fun (_, _, deq) -> not deq) r.rr_domains)
-      rows
-  in
   let slow = List.filter (fun r -> r.rr_closure_s >= r.rr_interp_s) rows in
   List.iter
     (fun r ->
@@ -734,17 +684,10 @@ let run_smoke () =
   List.iter
     (fun r ->
       Fmt.epr
-        "bench run-smoke: %s: sharded-lane run not bit-identical to the \
-         1-domain run@."
-        r.rr_name)
-    bad_domains;
-  List.iter
-    (fun r ->
-      Fmt.epr
         "bench run-smoke: %s: closure engine not faster (%.3fs vs %.3fs interp)@."
         r.rr_name r.rr_closure_s r.rr_interp_s)
     slow;
-  if bad_counters <> [] || bad_domains <> [] || slow <> [] then begin
+  if bad_counters <> [] || slow <> [] then begin
     Fmt.epr "bench run-smoke: FAILED@.";
     exit 1
   end;
@@ -815,28 +758,30 @@ let metrics_smoke () =
     (List.length mat)
 
 (* Backs `make bench-par-smoke`: the correctness half always runs (the
-   domain-differential axis on a mid-size workload — sharded lanes must be
-   bit-identical to the sequential scheduler, faults included); the
-   speedup half is gated on the host actually having cores to scale on.
-   On a multi-core host the 4-way (or as-wide-as-the-host) compile and
-   simulation must beat 1 domain by DHPF_PAR_SMOKE_MIN_SPEEDUP (default
+   many-unit SP compile must print byte-identically at 1 and at d
+   domains); the speedup half is gated on the host actually having cores
+   to scale on. On a multi-core host the 4-way (or as-wide-as-the-host)
+   compile must beat 1 domain by DHPF_PAR_SMOKE_MIN_SPEEDUP (default
    1.5x); single-core hosts skip with a message, because oversubscribed
    domains can only measure interleaving, not speed. *)
 let par_smoke () =
-  let chk =
-    Hpf.Sema.analyze_source
-      (Codes.jacobi ~n:96 ~iters:3 ~procs:(Codes.Symbolic2 2) ())
-  in
-  (match
-     Spmdsim.Diffcheck.domains ~nprocs:4 ~domain_counts:[ 2; 4 ] ~seeds:[ 7 ]
-       chk
-   with
-  | Spmdsim.Diffcheck.Pass { runs } ->
-      Fmt.epr "bench par-smoke: domain-differential ok (%d run(s))@." runs
-  | out ->
-      Fmt.epr "bench par-smoke: FAILED — %a@." Spmdsim.Diffcheck.pp_outcome out;
-      exit 1);
   let cores = Par.recommended () in
+  let d = min 4 (max 2 cores) in
+  let schk =
+    Hpf.Sema.analyze_source
+      (Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Symbolic2 2) ())
+  in
+  let print domains =
+    Dhpf.Spmd.program_to_string (Dhpf.Gen.compile ~domains schk).Dhpf.Gen.cprog
+  in
+  let p1 = print 1 in
+  if print d <> p1 then begin
+    Fmt.epr "bench par-smoke: FAILED — SP compile at %d domains does not print \
+             byte-identically to 1 domain@." d;
+    exit 1
+  end;
+  Fmt.epr "bench par-smoke: SP compile byte-identical at 1 and %d domains (%d bytes)@."
+    d (String.length p1);
   if cores < 2 then
     Fmt.epr
       "bench par-smoke: speedup check SKIPPED — host has %d usable core(s); \
@@ -848,13 +793,6 @@ let par_smoke () =
       | Some s -> ( try float_of_string s with _ -> 1.5)
       | None -> 1.5
     in
-    let d = min 4 cores in
-    let fail = ref false in
-    (* compile side: the many-unit SP application *)
-    let schk =
-      Hpf.Sema.analyze_source
-        (Codes.sp_like ~n:24 ~nsub:30 ~procs:(Codes.Symbolic2 2) ())
-    in
     ignore (compile_par_timed ~domains:1 schk) (* warm caches *);
     let c1 = compile_par_timed ~domains:1 schk in
     let cd = compile_par_timed ~domains:d schk in
@@ -864,33 +802,6 @@ let par_smoke () =
     if cs < min_speedup then begin
       Fmt.epr "bench par-smoke: compile speedup below %.2fx threshold@."
         min_speedup;
-      fail := true
-    end;
-    (* simulator side: the large JACOBI closure-engine run *)
-    let jchk =
-      Hpf.Sema.analyze_source
-        (Codes.jacobi ~n:384 ~iters:4 ~procs:(Codes.Symbolic2 2) ())
-    in
-    let prog = (Dhpf.Gen.compile jchk).Dhpf.Gen.cprog in
-    let s1 = Spmdsim.Exec.make ~domains:1 ~nprocs:8 prog in
-    let w1, st1 = ((fun () ->
-        let t0 = Unix.gettimeofday () in
-        let st = Spmdsim.Exec.run s1 in
-        (Unix.gettimeofday () -. t0, st)) ()) in
-    let wd, deq = time_domains ~domains:d prog 8 st1 in
-    let ss = w1 /. Float.max wd 1e-9 in
-    Fmt.epr "bench par-smoke: sim %d-domain speedup %.2fx (%.3fs -> %.3fs)@."
-      d ss w1 wd;
-    if not deq then begin
-      Fmt.epr "bench par-smoke: sharded run not bit-identical@.";
-      fail := true
-    end;
-    if ss < min_speedup then begin
-      Fmt.epr "bench par-smoke: simulator speedup below %.2fx threshold@."
-        min_speedup;
-      fail := true
-    end;
-    if !fail then begin
       Fmt.epr "bench par-smoke: FAILED@.";
       exit 1
     end
@@ -922,7 +833,7 @@ let native_measure () =
   in
   let runs =
     match Spmdsim.Diffcheck.engines ~nprocs:4 ~seeds:[ 7 ] chk with
-    | Spmdsim.Diffcheck.Pass { runs } -> runs
+    | Spmdsim.Diffcheck.Pass { runs; _ } -> runs
     | out ->
         Fmt.epr "bench native: three-way differential FAILED — %a@."
           Spmdsim.Diffcheck.pp_outcome out;

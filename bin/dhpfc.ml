@@ -279,10 +279,10 @@ let jobs_t =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Size of the OCaml domain pool used by the parallel compiler \
-           phases and the simulator's lane scheduler (default: \
+           phases, and the default worker count of $(b,serve) (default: \
            $(b,DHPF_DOMAINS), else 1). Clamped to the machine's recommended \
-           domain count. Any value produces bit-identical compiler output \
-           and simulation results — the pool only changes wall-clock time.")
+           domain count. Any value produces byte-identical compiler output \
+           — the pool only changes wall-clock time.")
 
 (* resolve the session domain pool: -j wins over DHPF_DOMAINS; both are
    clamped to the physical core count here and only here (the libraries
@@ -443,18 +443,6 @@ let diff_engines_t =
            deviation from bit-identical values, clocks and message \
            counters.")
 
-let diff_domains_t =
-  Arg.(
-    value & opt int 0
-    & info [ "diff-domains" ] ~docv:"N"
-        ~doc:
-          "Domain-differential harness: run the program on a single domain \
-           and with processor lanes sharded across an oversubscribed pool \
-           (2 and 4 domains) — fault-free plus N seeded fault schedules — \
-           and report the first deviation from bit-identical values, \
-           per-processor clocks, message counters and per-pair \
-           communication cells.")
-
 let diff_crashes_t =
   Arg.(
     value & opt int 0
@@ -591,7 +579,7 @@ let run_cmd =
   let run src nprocs params engine native_cache disk_cache disk_cache_mb
       no_split no_vect no_coal no_inplace jobs faults_seed drop dup delay
       skew crash_procs crash_prob ckpt_every max_events diff diff_engines
-      diff_domains diff_crashes trace metrics check_comm comm_slack =
+      diff_crashes trace metrics check_comm comm_slack =
     handle_errors @@ fun () ->
     let engine = resolve_engine engine in
     Option.iter (Unix.putenv "DHPF_NATIVE_CACHE") native_cache;
@@ -612,76 +600,43 @@ let run_cmd =
     trace_begin trace;
     metrics_begin metrics;
     if check_comm then Obs.Metrics.enable ();
-    let domains = apply_jobs jobs in
+    ignore (apply_jobs jobs : int);
     let chk =
       Dhpf.Phase.time Dhpf.Phase.global "parse and semantic analysis"
         (fun () -> Hpf.Sema.analyze_source (load src))
     in
-    if diff > 0 then begin
-      (* differential resilience sweep: serial oracle vs. N fault seeds *)
-      let spec_of_seed seed =
-        validated
-          (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
-      in
-      let seeds = List.init diff (fun i -> i + 1) in
-      let out =
-        Spmdsim.Diffcheck.run ~engine ~nprocs ~params ~opts ~spec_of_seed
-          ~seeds chk
-      in
+    (* the differential sweeps: fault-free plus N seeded schedules *)
+    let seeds n = List.init n (fun i -> i + 1) in
+    let spec_of_seed seed =
+      validated (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
+    in
+    let report out =
       Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
       match out with
       | Spmdsim.Diffcheck.Pass _ -> ()
       | _ -> exit exit_runtime
-    end
-    else if diff_engines > 0 then begin
-      (* engine-differential sweep: closure vs. interpreter vs. native *)
-      let spec_of_seed seed =
-        validated
-          (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
-      in
-      let seeds = List.init diff_engines (fun i -> i + 1) in
-      let out =
-        Spmdsim.Diffcheck.engines ~nprocs ~params ~opts ~spec_of_seed ~seeds
-          chk
-      in
-      Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
-      match out with
-      | Spmdsim.Diffcheck.Pass _ -> ()
-      | _ -> exit exit_runtime
-    end
-    else if diff_domains > 0 then begin
-      (* domain-differential sweep: sequential scheduler vs. an
-         oversubscribed domain pool *)
-      let spec_of_seed seed =
-        validated
-          (spec_of ~seed ~drop ~dup ~delay ~skew ~crash_prob ~crash_procs:0)
-      in
-      let seeds = List.init diff_domains (fun i -> i + 1) in
-      let out =
-        Spmdsim.Diffcheck.domains ~engine ~nprocs ~params ~opts ~spec_of_seed
-          ~seeds chk
-      in
-      Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
-      match out with
-      | Spmdsim.Diffcheck.Pass _ -> ()
-      | _ -> exit exit_runtime
-    end
-    else if diff_crashes > 0 then begin
-      (* crash-differential sweep: checkpoint/restart recovery on both
-         engines vs. the fault-free oracle *)
-      let seeds = List.init diff_crashes (fun i -> i + 1) in
-      let out =
-        match ckpt_every with
-        | 0 -> Spmdsim.Diffcheck.crashes ~nprocs ~params ~opts ~seeds chk
+    in
+    if diff > 0 then
+      (* serial oracle vs. the selected engine *)
+      report
+        (Spmdsim.Diffcheck.run ~engine ~nprocs ~params ~opts ~spec_of_seed
+           ~seeds:(seeds diff) chk)
+    else if diff_engines > 0 then
+      (* closure and native vs. the interpreter *)
+      report
+        (Spmdsim.Diffcheck.engines ~nprocs ~params ~opts ~spec_of_seed
+           ~seeds:(seeds diff_engines) chk)
+    else if diff_crashes > 0 then
+      (* checkpoint/restart recovery on both engines vs. the fault-free
+         oracle *)
+      report
+        (match ckpt_every with
+        | 0 ->
+            Spmdsim.Diffcheck.crashes ~nprocs ~params ~opts
+              ~seeds:(seeds diff_crashes) chk
         | n ->
             Spmdsim.Diffcheck.crashes ~nprocs ~params ~opts ~ckpt_every:n
-              ~seeds chk
-      in
-      Fmt.pr "%a@." Spmdsim.Diffcheck.pp_outcome out;
-      match out with
-      | Spmdsim.Diffcheck.Pass _ -> ()
-      | _ -> exit exit_runtime
-    end
+              ~seeds:(seeds diff_crashes) chk)
     else begin
       let compiled = Dhpf.Gen.compile ~opts chk in
       let serial = Spmdsim.Serial.run ~params chk in
@@ -726,11 +681,6 @@ let run_cmd =
       Fmt.pr "spmd on %2d procs: %10.3f ms  (%d msgs, %d KiB)@." (Spmdsim.Exec.nprocs sim)
         (stats.s_time *. 1e3) stats.s_msgs (stats.s_bytes / 1024);
       Fmt.pr "speedup         : %10.2f@." (serial.r_time /. stats.s_time);
-      if domains > 1 then Fmt.pr "domain pool     : %10d domains@." domains;
-      if Obs.Metrics.enabled () then
-        Obs.Metrics.set
-          (Obs.Metrics.gauge "sim/domains")
-          (float_of_int domains);
       (match faults with
       | None -> ()
       | Some sp ->
@@ -806,7 +756,7 @@ let run_cmd =
       $ no_coal_t $ no_inplace_t $ jobs_t $ faults_t $ fault_drop_t
       $ fault_dup_t $ fault_delay_t $ fault_skew_t $ crash_procs_t
       $ crash_prob_t $ ckpt_every_t $ max_events_t $ diff_t $ diff_engines_t
-      $ diff_domains_t $ diff_crashes_t $ trace_t $ metrics_t $ check_comm_t
+      $ diff_crashes_t $ trace_t $ metrics_t $ check_comm_t
       $ comm_slack_t)
 
 (* ---- bench (print a built-in source) ---- *)

@@ -1,4 +1,4 @@
-(* Domain-pool helpers shared by the compiler and the simulator.
+(* Domain-pool helpers shared by the compiler and the serve daemon.
 
    The library deliberately does NOT clamp domain counts: correctness
    never depends on the physical core count (four domains on one core is

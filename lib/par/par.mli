@@ -1,6 +1,6 @@
 (** Domain-pool helpers: session domain-count policy and small
-    spawn/join + worklist combinators shared by the parallel compiler
-    phases and the simulator's lane scheduler.
+    spawn/join + worklist combinators used by the parallel compiler
+    phases, the serve daemon's workers and the benchmark clients.
 
     The library never clamps requested counts to the physical core count
     — four domains on one core is merely slow, and the differential

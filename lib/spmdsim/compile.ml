@@ -22,8 +22,8 @@
    float-only cell; an access closure returns the dense slot as an int and
    leaves the global linear index in [r_enc] for the miss path; float
    expressions are evaluated destination-passing into a per-processor
-   register file ([r_regs], sized from the kernel's deepest expression, so
-   sharded lanes on different domains never share one); [slot + c]
+   register file ([r_regs], sized from the kernel's deepest expression);
+   [slot + c]
    subscripts are read inline; dimensions [Imp] proved in bounds are not
    checked; intrinsics are resolved when the closures are generated (by
    matching on {!Serial.intrinsic_op}'s constructors); and
@@ -879,14 +879,12 @@ type csim = {
   c_owners : (int * int array) array Lazy.t array;  (* by store id *)
   c_islots : (string * int) list;  (* sorted by name *)
   c_fslots : (string * int) list;
-  c_domains : int;
   mutable c_ran : bool;
 }
 
 (* Set up the machine and lower the program once through {!Imp}; [gen]
    turns the lowered kernel into the per-processor entry point. *)
-let make_with gen ?(machine = Machine.default) ?faults ?(domains = Par.domains ())
-    ~nprocs ?(params = []) (prog : Spmd.program) : csim =
+let make_with gen ?(machine = Machine.default) ?faults ~nprocs ?(params = []) (prog : Spmd.program) : csim =
   let su = Runtime.setup ?faults ~nprocs ~params prog in
   let geval e = Runtime.eval_genv su.Runtime.su_genv e in
   let tr = Runtime.transport_make ~machine ~faults ~nprocs:su.Runtime.su_total in
@@ -975,7 +973,6 @@ let make_with gen ?(machine = Machine.default) ?faults ?(domains = Par.domains (
       Array.mapi (fun aid am -> lazy (owner_table ~geval am layouts.(aid))) ameta;
     c_islots = kernel.Imp.k_islots;
     c_fslots = kernel.Imp.k_fslots;
-    c_domains = domains;
     c_ran = false;
   }
 
@@ -1031,7 +1028,7 @@ let run (cs : csim) : Runtime.stats =
   if cs.c_ran then
     errf "simulation already executed: Exec.run consumed this sim (build a fresh one with Exec.make)";
   cs.c_ran <- true;
-  Runtime.sched_run_par ~domains:cs.c_domains
+  Runtime.sched_run
     {
       Runtime.h_nprocs = Array.length cs.c_rts;
       h_tr = cs.c_tr;

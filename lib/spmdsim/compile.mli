@@ -137,27 +137,23 @@ type csim = {
           fixed coordinate) and each index's owner coordinate *)
   c_islots : (string * int) list;  (** integer slots by name, sorted *)
   c_fslots : (string * int) list;  (** scalar slots by name, sorted *)
-  c_domains : int;
   mutable c_ran : bool;
 }
 
 val make :
   ?machine:Machine.t ->
   ?faults:Fault.spec ->
-  ?domains:int ->
   nprocs:int ->
   ?params:(string * int) list ->
   Dhpf.Spmd.program ->
   csim
 (** Lower the program, generate its closures and build per-processor dense
-    storage. Parameters are as in {!Exec.make}; [domains] defaults to
-    [Par.domains ()]. *)
+    storage. Parameters are as in {!Exec.make}. *)
 
 val make_with :
   (kctx -> Imp.kernel -> cstmt) ->
   ?machine:Machine.t ->
   ?faults:Fault.spec ->
-  ?domains:int ->
   nprocs:int ->
   ?params:(string * int) list ->
   Dhpf.Spmd.program ->

@@ -3,6 +3,7 @@
 
 type divergence = {
   dv_seed : int option;
+  dv_engine : Exec.engine;
   dv_array : string;
   dv_index : int list;
   dv_expected : float;
@@ -10,7 +11,7 @@ type divergence = {
 }
 
 type outcome =
-  | Pass of { runs : int }
+  | Pass of { runs : int; compared : string }
   | Diverged of divergence
   | Crashed of { seed : int option; error : string }
 
@@ -21,7 +22,40 @@ exception Found of divergence
    interpreter's association *)
 let close want got = abs_float (want -. got) <= 1e-6 *. (abs_float want +. 1.0)
 
-let compare_run ~seed (chk : Hpf.Sema.checked) (sref : Serial.result) sim =
+let compile ?opts chk =
+  match opts with
+  | Some opts -> Dhpf.Gen.compile ~opts chk
+  | None -> Dhpf.Gen.compile chk
+
+(* every array's extents, evaluated over the startup parameter
+   environment *)
+let array_bounds ~nprocs ~params (cprog : Dhpf.Spmd.program) =
+  let su = Runtime.setup ~nprocs ~params cprog in
+  let geval = Runtime.eval_genv su.Runtime.su_genv in
+  List.map
+    (fun (ad : Dhpf.Spmd.array_decl) ->
+      ( ad.Dhpf.Spmd.ad_name,
+        List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
+    cprog.Dhpf.Spmd.arrays
+
+(* the fault-free run first, then one fault schedule per seed; [one]
+   returns [Some outcome] on the first failure *)
+let over_schedules ~compared ~spec_of_seed ~seeds one =
+  let rec go runs = function
+    | [] -> Pass { runs; compared }
+    | (seed, faults) :: rest -> (
+        match
+          try one faults seed with
+          | Exec.Deadlock d ->
+              Some (Crashed { seed; error = Exec.diagnostic_to_string d })
+          | Exec.Error msg -> Some (Crashed { seed; error = msg })
+        with
+        | None -> go (runs + 1) rest
+        | Some bad -> bad)
+  in
+  go 0 ((None, None) :: List.map (fun s -> (Some s, Some (spec_of_seed s))) seeds)
+
+let compare_run ~seed ~engine (chk : Hpf.Sema.checked) (sref : Serial.result) sim =
   try
     Hashtbl.iter
       (fun aname (ai : Hpf.Sema.array_info) ->
@@ -42,6 +76,7 @@ let compare_run ~seed (chk : Hpf.Sema.checked) (sref : Serial.result) sim =
                   (Found
                      {
                        dv_seed = seed;
+                       dv_engine = engine;
                        dv_array = aname;
                        dv_index = idx;
                        dv_expected = want;
@@ -57,40 +92,19 @@ let compare_run ~seed (chk : Hpf.Sema.checked) (sref : Serial.result) sim =
     None
   with Found d -> Some d
 
-let run ?engine ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
+let run ?(engine = `Closure) ?machine ?(nprocs = 4) ?(params = []) ?opts
     ?(spec_of_seed = fun seed -> Fault.default ~seed) ~seeds
     (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
+  let cprog = (compile ?opts chk).Dhpf.Gen.cprog in
   let sref = Serial.run ?machine ~params chk in
-  let one ?faults seed =
-    match
-      let sim =
-        Exec.make ?engine ?machine ?faults ?domains ~nprocs ~params
-          compiled.Dhpf.Gen.cprog
-      in
+  over_schedules ~spec_of_seed ~seeds
+    ~compared:
+      (Printf.sprintf "the %s engine matched the serial oracle"
+         (Exec.engine_to_string engine))
+    (fun faults seed ->
+      let sim = Exec.make ~engine ?machine ?faults ~nprocs ~params cprog in
       let _ = Exec.run sim in
-      compare_run ~seed chk sref sim
-    with
-    | None -> Ok ()
-    | Some d -> Error (Diverged d)
-    | exception Exec.Deadlock d ->
-        Error (Crashed { seed; error = Exec.diagnostic_to_string d })
-    | exception Exec.Error msg -> Error (Crashed { seed; error = msg })
-  in
-  let rec go runs = function
-    | [] -> Pass { runs }
-    | (seed, faults) :: rest -> (
-        match one ?faults seed with
-        | Ok () -> go (runs + 1) rest
-        | Error bad -> bad)
-  in
-  go 0
-    ((None, None)
-    :: List.map (fun s -> (Some s, Some (spec_of_seed s))) seeds)
+      Option.map (fun d -> Diverged d) (compare_run ~seed ~engine chk sref sim))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-differential mode: closure engine vs. tree-walking           *)
@@ -105,7 +119,7 @@ let run ?engine ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
 let bit_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* every Runtime.stats field as a (name, a, b) triple, compared bitwise by
-   the engine- and domain-differential modes below *)
+   the engine-differential mode below *)
 let stat_fields (a : Exec.stats) (b : Exec.stats) =
   [
     ("time", a.Exec.s_time, b.Exec.s_time);
@@ -129,7 +143,7 @@ let stat_fields (a : Exec.stats) (b : Exec.stats) =
     ("lost_work", a.s_lost_work, b.s_lost_work);
   ]
 
-let compare_engines ~seed bounds scalars si sc =
+let compare_engines ~seed ~engine bounds scalars si sc =
   try
     List.iter
       (fun (aname, dims) ->
@@ -143,6 +157,7 @@ let compare_engines ~seed bounds scalars si sc =
                   (Found
                      {
                        dv_seed = seed;
+                       dv_engine = engine;
                        dv_array = aname;
                        dv_index = idx;
                        dv_expected = want;
@@ -164,6 +179,7 @@ let compare_engines ~seed bounds scalars si sc =
                 (Found
                    {
                      dv_seed = seed;
+                     dv_engine = engine;
                      dv_array = name;
                      dv_index = [];
                      dv_expected = want;
@@ -176,31 +192,15 @@ let compare_engines ~seed bounds scalars si sc =
     None
   with Found d -> Some d
 
-let engines ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
+let engines ?machine ?(nprocs = 4) ?(params = []) ?opts
     ?(spec_of_seed = fun seed -> Fault.default ~seed) ~seeds
     (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
-  let cprog = compiled.Dhpf.Gen.cprog in
-  (* array extents, evaluated over the startup parameter environment *)
-  let su = Runtime.setup ~nprocs ~params cprog in
-  let geval = Runtime.eval_genv su.Runtime.su_genv in
-  let bounds =
-    List.map
-      (fun (ad : Dhpf.Spmd.array_decl) ->
-        ( ad.Dhpf.Spmd.ad_name,
-          List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
-      cprog.Dhpf.Spmd.arrays
-  in
-  let one ?faults seed =
-    match
-      let si =
-        Exec.make ~engine:`Interp ?machine ?faults ?domains ~nprocs ~params
-          cprog
-      in
+  let cprog = (compile ?opts chk).Dhpf.Gen.cprog in
+  let bounds = array_bounds ~nprocs ~params cprog in
+  over_schedules ~spec_of_seed ~seeds
+    ~compared:"the closure and native engines matched the interpreter bit for bit"
+    (fun faults seed ->
+      let si = Exec.make ~engine:`Interp ?machine ?faults ~nprocs ~params cprog in
       let sti = Exec.run si in
       (* each engine under test runs on its own transport but sees the
          identical fault schedule, and must match the interpreter exactly:
@@ -208,209 +208,37 @@ let engines ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
          then every element and scalar bit for bit *)
       let against engine =
         let label = Exec.engine_to_string engine in
-        let sc =
-          Exec.make ~engine ?machine ?faults ?domains ~nprocs ~params cprog
+        let mismatch fmt =
+          Printf.ksprintf (fun error -> Some (Crashed { seed; error })) fmt
         in
+        let sc = Exec.make ~engine ?machine ?faults ~nprocs ~params cprog in
         let stc = Exec.run sc in
         match
-          List.find_opt
-            (fun (_, a, b) -> not (bit_equal a b))
-            (stat_fields sti stc)
+          List.find_opt (fun (_, a, b) -> not (bit_equal a b)) (stat_fields sti stc)
         with
         | Some (field, a, b) ->
-            Some
-              (Crashed
-                 {
-                   seed;
-                   error =
-                     Printf.sprintf
-                       "engine counter mismatch: %s interp=%.17g %s=%.17g"
-                       field a label b;
-                 })
+            mismatch "engine counter mismatch: %s interp=%.17g %s=%.17g" field a
+              label b
         | None -> (
-            let clock_bad = ref None in
-            Array.iteri
-              (fun p t ->
-                if
-                  !clock_bad = None
-                  && not (bit_equal t stc.Exec.s_proc_times.(p))
-                then clock_bad := Some p)
-              sti.Exec.s_proc_times;
-            match !clock_bad with
+            let times = sti.Exec.s_proc_times and timec = stc.Exec.s_proc_times in
+            match
+              List.find_opt
+                (fun p -> not (bit_equal times.(p) timec.(p)))
+                (List.init (Array.length times) Fun.id)
+            with
             | Some p ->
-                Some
-                  (Crashed
-                     {
-                       seed;
-                       error =
-                         Printf.sprintf
-                           "engine clock mismatch: proc %d interp=%.17g %s=%.17g"
-                           p
-                           sti.Exec.s_proc_times.(p)
-                           label stc.Exec.s_proc_times.(p);
-                     })
+                mismatch "engine clock mismatch: proc %d interp=%.17g %s=%.17g" p
+                  times.(p) label timec.(p)
             | None ->
                 if Exec.comm_cells si <> Exec.comm_cells sc then
-                  Some
-                    (Crashed
-                       {
-                         seed;
-                         error =
-                           Printf.sprintf
-                             "engine comm-cell mismatch: interp vs %s" label;
-                       })
-                else (
-                  match
-                    compare_engines ~seed bounds cprog.Dhpf.Spmd.scalars si sc
-                  with
-                  | Some d -> Some (Diverged d)
-                  | None -> None))
-      in
-      (match against `Closure with
-      | Some bad -> Some bad
-      | None -> against `Native)
-    with
-    | None -> Ok ()
-    | Some bad -> Error bad
-    | exception Exec.Deadlock d ->
-        Error (Crashed { seed; error = Exec.diagnostic_to_string d })
-    | exception Exec.Error msg -> Error (Crashed { seed; error = msg })
-  in
-  let rec go runs = function
-    | [] -> Pass { runs }
-    | (seed, faults) :: rest -> (
-        match one ?faults seed with
-        | Ok () -> go (runs + 1) rest
-        | Error bad -> bad)
-  in
-  go 0
-    ((None, None)
-    :: List.map (fun s -> (Some s, Some (spec_of_seed s))) seeds)
-
-(* ------------------------------------------------------------------ *)
-(* Domain-differential mode: the parallel scheduler at every domain    *)
-(* count vs. the single-domain (sequential) run of the same engine.    *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel scheduler's contract is determinism, not approximation:
-   sharding processor lanes across an OCaml domain pool must leave every
-   array element, scalar, per-processor clock, counter and per-pair
-   communication-table row bit-identical to the sequential schedule —
-   fault-free and under every seeded fault schedule alike. *)
-let domains ?(engine = `Closure) ?machine ?(nprocs = 4) ?(params = []) ?opts
-    ?(domain_counts = [ 2; 4 ])
-    ?(spec_of_seed = fun seed -> Fault.default ~seed) ~seeds
-    (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
-  let cprog = compiled.Dhpf.Gen.cprog in
-  let su = Runtime.setup ~nprocs ~params cprog in
-  let geval = Runtime.eval_genv su.Runtime.su_genv in
-  let bounds =
-    List.map
-      (fun (ad : Dhpf.Spmd.array_decl) ->
-        ( ad.Dhpf.Spmd.ad_name,
-          List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
-      cprog.Dhpf.Spmd.arrays
-  in
-  (* one fault schedule: run the single-domain reference once, then every
-     requested domain count against it *)
-  let one ?faults seed =
-    match
-      let s1 =
-        Exec.make ~engine ?machine ?faults ~domains:1 ~nprocs ~params cprog
-      in
-      let st1 = Exec.run s1 in
-      let cells1 = Exec.comm_cells s1 in
-      let check d =
-        let sd =
-          Exec.make ~engine ?machine ?faults ~domains:d ~nprocs ~params cprog
-        in
-        let std = Exec.run sd in
-        match
-          List.find_opt
-            (fun (_, a, b) -> not (bit_equal a b))
-            (stat_fields st1 std)
-        with
-        | Some (field, a, b) ->
-            Some
-              (Crashed
-                 {
-                   seed;
-                   error =
-                     Printf.sprintf
-                       "domain counter mismatch: %s 1-domain=%.17g \
-                        %d-domain=%.17g"
-                       field a d b;
-                 })
-        | None -> (
-            let clock_bad = ref None in
-            Array.iteri
-              (fun p t1 ->
-                if
-                  !clock_bad = None
-                  && not (bit_equal t1 std.Exec.s_proc_times.(p))
-                then clock_bad := Some (p, t1, std.Exec.s_proc_times.(p)))
-              st1.Exec.s_proc_times;
-            match !clock_bad with
-            | Some (p, t1, td) ->
-                Some
-                  (Crashed
-                     {
-                       seed;
-                       error =
-                         Printf.sprintf
-                           "domain clock mismatch on processor %d: \
-                            1-domain=%.17g %d-domain=%.17g"
-                           p t1 d td;
-                     })
-            | None ->
-                if Exec.comm_cells sd <> cells1 then
-                  Some
-                    (Crashed
-                       {
-                         seed;
-                         error =
-                           Printf.sprintf
-                             "per-pair communication table differs at %d \
-                              domain(s)"
-                             d;
-                       })
+                  mismatch "engine comm-cell mismatch: interp vs %s" label
                 else
-                  (* dv_expected is the 1-domain value, dv_got the
-                     d-domain value *)
-                  match
-                    compare_engines ~seed bounds cprog.Dhpf.Spmd.scalars s1
-                      sd
-                  with
-                  | Some dv -> Some (Diverged dv)
-                  | None -> None)
+                  Option.map
+                    (fun d -> Diverged d)
+                    (compare_engines ~seed ~engine bounds
+                       cprog.Dhpf.Spmd.scalars si sc))
       in
-      let rec go = function
-        | [] -> None
-        | d :: rest -> (
-            match check d with None -> go rest | Some bad -> Some bad)
-      in
-      go domain_counts
-    with
-    | None -> Ok (List.length domain_counts)
-    | Some bad -> Error bad
-    | exception Exec.Deadlock d ->
-        Error (Crashed { seed; error = Exec.diagnostic_to_string d })
-    | exception Exec.Error msg -> Error (Crashed { seed; error = msg })
-  in
-  let rec go runs = function
-    | [] -> Pass { runs }
-    | (seed, faults) :: rest -> (
-        match one ?faults seed with
-        | Ok n -> go (runs + n) rest
-        | Error bad -> bad)
-  in
-  go 0
-    ((None, None) :: List.map (fun s -> (Some s, Some (spec_of_seed s))) seeds)
+      match against `Closure with Some bad -> Some bad | None -> against `Native)
 
 (* ------------------------------------------------------------------ *)
 (* Crash-differential mode: checkpoint/restart recovery vs. the        *)
@@ -422,30 +250,14 @@ let domains ?(engine = `Closure) ?machine ?(nprocs = 4) ?(params = []) ?opts
    bit-identical to the fault-free run on BOTH engines, and the
    first-transmission-only per-pair communication table must be exactly
    fault-invariant (what keeps `--check-comm` exact under crashes). *)
-let crashes ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
-    ?(ckpt_every = 8)
+let crashes ?machine ?(nprocs = 4) ?(params = []) ?opts ?(ckpt_every = 8)
     ?(spec_of_seed =
       fun seed -> { Fault.none with seed; crash_prob = 0.02; crash_max = 3 })
     ~seeds (chk : Hpf.Sema.checked) : outcome =
-  let compiled =
-    match opts with
-    | Some opts -> Dhpf.Gen.compile ~opts chk
-    | None -> Dhpf.Gen.compile chk
-  in
-  let cprog = compiled.Dhpf.Gen.cprog in
-  let su = Runtime.setup ~nprocs ~params cprog in
-  let geval = Runtime.eval_genv su.Runtime.su_genv in
-  let bounds =
-    List.map
-      (fun (ad : Dhpf.Spmd.array_decl) ->
-        ( ad.Dhpf.Spmd.ad_name,
-          List.map (fun (lo, hi) -> (geval lo, geval hi)) ad.ad_bounds ))
-      cprog.Dhpf.Spmd.arrays
-  in
+  let cprog = (compile ?opts chk).Dhpf.Gen.cprog in
+  let bounds = array_bounds ~nprocs ~params cprog in
   match
-    let sref =
-      Exec.make ~engine:`Closure ?machine ?domains ~nprocs ~params cprog
-    in
+    let sref = Exec.make ~engine:`Closure ?machine ~nprocs ~params cprog in
     let _ = Exec.run sref in
     let cells_ref = Exec.comm_cells sref in
     let one ~engine seed =
@@ -454,8 +266,8 @@ let crashes ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
           ~ckpt_every ~nprocs ~params cprog
       in
       match
-        compare_engines ~seed:(Some seed) bounds cprog.Dhpf.Spmd.scalars sref
-          rep.Checkpoint.rp_sim
+        compare_engines ~seed:(Some seed) ~engine bounds
+          cprog.Dhpf.Spmd.scalars sref rep.Checkpoint.rp_sim
       with
       | Some d -> Error (Diverged d)
       | None ->
@@ -474,7 +286,14 @@ let crashes ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
           else Ok ()
     in
     let rec go runs = function
-      | [] -> Pass { runs }
+      | [] ->
+          Pass
+            {
+              runs;
+              compared =
+                "crash-recovered interp and closure runs matched the \
+                 fault-free closure run bit for bit";
+            }
       | (engine, seed) :: rest -> (
           match one ~engine seed with
           | Ok () -> go (runs + 1) rest
@@ -491,10 +310,12 @@ let crashes ?machine ?(nprocs = 4) ?(params = []) ?opts ?domains
   | exception Exec.Error msg -> Crashed { seed = None; error = msg }
 
 let pp_outcome fmt = function
-  | Pass { runs } -> Fmt.pf fmt "diffcheck: %d run(s) matched the serial oracle" runs
+  | Pass { runs; compared } -> Fmt.pf fmt "diffcheck: %d run(s): %s" runs compared
   | Diverged d ->
       Fmt.pf fmt
-        "diffcheck: DIVERGENCE %s(%s): expected %.9g, got %.9g (%s)"
+        "diffcheck: DIVERGENCE in the %s engine: %s(%s): expected %.9g, got \
+         %.9g (%s)"
+        (Exec.engine_to_string d.dv_engine)
         d.dv_array
         (String.concat "," (List.map string_of_int d.dv_index))
         d.dv_expected d.dv_got

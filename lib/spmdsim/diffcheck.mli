@@ -15,6 +15,7 @@
 
 type divergence = {
   dv_seed : int option;  (** [None]: the fault-free run already diverged *)
+  dv_engine : Exec.engine;  (** the engine whose value is [dv_got] *)
   dv_array : string;
   dv_index : int list;
   dv_expected : float;  (** serial-oracle value *)
@@ -22,7 +23,9 @@ type divergence = {
 }
 
 type outcome =
-  | Pass of { runs : int }  (** every run matched the oracle *)
+  | Pass of { runs : int; compared : string }
+      (** every run matched; [compared] says what was compared with what,
+          e.g. ["the closure engine matched the serial oracle"] *)
   | Diverged of divergence
   | Crashed of { seed : int option; error : string }
       (** a run raised (deadlock diagnostics are pretty-printed) *)
@@ -33,7 +36,6 @@ val run :
   ?nprocs:int ->
   ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
-  ?domains:int ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
   Hpf.Sema.checked ->
@@ -41,61 +43,34 @@ val run :
 (** [run ~seeds chk] compiles [chk], validates the fault-free execution
     against the serial oracle, then replays under one fault schedule per
     seed ([spec_of_seed] defaults to {!Fault.default}). [nprocs] defaults
-    to 4; [engine] selects the SPMD executor (default [`Closure]);
-    [domains] shards the simulator's processor lanes across an OCaml
-    domain pool (default [Par.domains ()]). *)
+    to 4; [engine] selects the SPMD executor (default [`Closure]). *)
 
 val engines :
   ?machine:Machine.t ->
   ?nprocs:int ->
   ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
-  ?domains:int ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
   Hpf.Sema.checked ->
   outcome
-(** Engine-differential mode: run the closure engine and the tree-walking
-    interpreter on the same program — fault-free first, then under one
-    fault schedule per seed, both engines seeing the identical schedule —
-    and require them to agree {e exactly}: bit-identical array elements
-    and scalars, bit-identical simulated clocks, and identical
-    message/byte/element/retransmit/duplicate counters. Any counter
-    mismatch is reported as [Crashed] naming the field and both values; a
-    value mismatch as [Diverged] ([dv_expected] is the interpreter's
-    value, [dv_got] the closure engine's). This is the executable form of
-    the engines' equivalence contract (see {!Exec.make}). *)
-
-val domains :
-  ?engine:Exec.engine ->
-  ?machine:Machine.t ->
-  ?nprocs:int ->
-  ?params:(string * int) list ->
-  ?opts:Dhpf.Gen.options ->
-  ?domain_counts:int list ->
-  ?spec_of_seed:(int -> Fault.spec) ->
-  seeds:int list ->
-  Hpf.Sema.checked ->
-  outcome
-(** Domain-differential mode: for each fault schedule (fault-free first,
-    then one per seed) run the program once on a single domain — the
-    sequential scheduler — and once per entry of [domain_counts] (default
-    [\[2; 4\]]) with processor lanes sharded across that many OCaml
-    domains, and require every parallel run to match the sequential one
-    {e exactly}: bit-identical array elements, scalars and per-processor
-    clocks, identical counters, and an identical per-pair communication
-    table (live only when [Obs.Metrics] is enabled). This is the
-    executable form of the parallel scheduler's determinism contract
-    ({!Runtime.sched_run_par}); oversubscription is deliberate — domain
-    counts above the physical core count must still be bit-identical.
-    [engine] defaults to [`Closure]. *)
+(** Engine-differential mode: run the closure and native engines and the
+    tree-walking interpreter on the same program — fault-free first, then
+    under one fault schedule per seed, every engine seeing the identical
+    schedule — and require each engine to agree with the interpreter
+    {e exactly}: bit-identical array elements and scalars, bit-identical
+    simulated clocks, and identical message/byte/element/retransmit/
+    duplicate counters. Any counter mismatch is reported as [Crashed]
+    naming the field, the engine and both values; a value mismatch as
+    [Diverged] ([dv_expected] is the interpreter's value, [dv_got] that of
+    the engine named by [dv_engine]). This is the executable form of the
+    engines' equivalence contract (see {!Exec.make}). *)
 
 val crashes :
   ?machine:Machine.t ->
   ?nprocs:int ->
   ?params:(string * int) list ->
   ?opts:Dhpf.Gen.options ->
-  ?domains:int ->
   ?ckpt_every:int ->
   ?spec_of_seed:(int -> Fault.spec) ->
   seeds:int list ->
@@ -111,8 +86,6 @@ val crashes :
     so crashes and replays must not perturb it — the property behind
     [--check-comm] staying exact under crash injection). The comm-table
     comparison is live only when [Obs.Metrics] is enabled; otherwise both
-    tables are empty and only values are compared. [domains] applies to
-    the fault-free reference run (recovery runs schedule crashes, which
-    always take the sequential path). *)
+    tables are empty and only values are compared. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -52,7 +52,6 @@ type pstate = {
 
 type isim = {
   prog : Spmd.program;
-  i_domains : int;
   machine : Machine.t;
   skew : float array;  (** per-processor compute-time multiplier (>= 1) *)
   genv : (string, int) Hashtbl.t;  (** global parameter values *)
@@ -62,8 +61,7 @@ type isim = {
   meta : (string, meta) Hashtbl.t;
   tr : Runtime.transport;
   outbufs : (int, Runtime.packbuf) Hashtbl.t array;
-      (** per pid: event -> elements packed so far (per-processor so
-          parallel lanes never contend on one table) *)
+      (** per pid: event -> elements packed so far *)
   inplace_events : (int, unit) Hashtbl.t;
   rect_events : (int, unit) Hashtbl.t;
   mutable iran : bool;
@@ -75,9 +73,8 @@ type isim = {
 
 let eval_global sim e = Runtime.eval_genv sim.genv e
 
-let make_interp ?(machine = Machine.default) ?faults
-    ?(domains = Par.domains ()) ~nprocs ?(params = []) (prog : Spmd.program) :
-    isim =
+let make_interp ?(machine = Machine.default) ?faults ~nprocs ?(params = [])
+    (prog : Spmd.program) : isim =
   let su = Runtime.setup ?faults ~nprocs ~params prog in
   let geval = Runtime.eval_genv su.Runtime.su_genv in
   let meta = Hashtbl.create 16 in
@@ -106,7 +103,6 @@ let make_interp ?(machine = Machine.default) ?faults
   let sim =
     {
       prog;
-      i_domains = domains;
       machine;
       skew = su.Runtime.su_skew;
       genv = su.Runtime.su_genv;
@@ -426,7 +422,7 @@ let run_interp (sim : isim) : Runtime.stats =
   if sim.iran then
     errf "simulation already executed: Exec.run consumed this sim (build a fresh one with Exec.make)";
   sim.iran <- true;
-  Runtime.sched_run_par ~domains:sim.i_domains
+  Runtime.sched_run
     {
       Runtime.h_nprocs = sim.inprocs;
       h_tr = sim.tr;
@@ -531,13 +527,12 @@ let engine_to_string = function
    swapped in as its main, so its whole dispatch surface is Compile's. *)
 type sim = SClosure of Compile.csim | SInterp of isim | SNative of Compile.csim
 
-let make ?(engine = `Closure) ?machine ?faults ?domains ~nprocs ?params
+let make ?(engine = `Closure) ?machine ?faults ?domains:_ ~nprocs ?params
     (prog : Spmd.program) : sim =
   match engine with
-  | `Closure ->
-      SClosure (Compile.make ?machine ?faults ?domains ~nprocs ?params prog)
-  | `Interp -> SInterp (make_interp ?machine ?faults ?domains ~nprocs ?params prog)
-  | `Native -> SNative (Native.make ?machine ?faults ?domains ~nprocs ?params prog)
+  | `Closure -> SClosure (Compile.make ?machine ?faults ~nprocs ?params prog)
+  | `Interp -> SInterp (make_interp ?machine ?faults ~nprocs ?params prog)
+  | `Native -> SNative (Native.make ?machine ?faults ~nprocs ?params prog)
 
 let nprocs = function
   | SClosure cs | SNative cs -> Compile.nprocs cs

@@ -70,10 +70,9 @@ val make :
     fault-free run — only timing, retransmission and duplicate statistics
     change.
 
-    [domains] (default [Par.domains ()], i.e. [DHPF_DOMAINS] or 1) shards
-    the processor lanes across an OCaml domain pool
-    ({!Runtime.sched_run_par}); any count produces bit-identical values,
-    clocks and counters. *)
+    [domains] is accepted and ignored: every engine runs on the one
+    sequential scheduler ({!Runtime.sched_run}), whose simulated clocks
+    do not depend on how many host domains there are. *)
 
 val nprocs : sim -> int
 (** Actual processor count (the product of the grid extents). *)

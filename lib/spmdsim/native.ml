@@ -268,7 +268,7 @@ let presize_packbufs (cs : Compile.csim) ?params ~nprocs prog =
 (* Engine construction                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let make ?machine ?faults ?domains ?cache_dir ~nprocs ?params
+let make ?machine ?faults ?cache_dir ~nprocs ?params
     (prog : Dhpf.Spmd.program) : Compile.csim =
   let cache_dir =
     match cache_dir with Some d -> d | None -> default_cache_dir ()
@@ -278,7 +278,7 @@ let make ?machine ?faults ?domains ?cache_dir ~nprocs ?params
       (fun kctx kernel ->
         let fn = obtain ~cache_dir kernel in
         fun rt -> fn kctx rt)
-      ?machine ?faults ?domains ~nprocs ?params prog
+      ?machine ?faults ~nprocs ?params prog
   in
   presize_packbufs cs ?params ~nprocs prog;
   cs

@@ -44,7 +44,6 @@ val prune_cache : string -> unit
 val make :
   ?machine:Machine.t ->
   ?faults:Fault.spec ->
-  ?domains:int ->
   ?cache_dir:string ->
   nprocs:int ->
   ?params:(string * int) list ->

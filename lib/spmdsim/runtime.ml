@@ -501,59 +501,11 @@ let op_point tr ~pid ~clock =
   if tr.tr_ckpt_every > 0 && tr.tr_gops mod tr.tr_ckpt_every = 0 then
     tr.tr_on_ckpt tr.tr_gops
 
-(* ------------------------------------------------------------------ *)
-(* Parallel lanes: deferred transport mutations                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel scheduler ({!sched_run_par}) runs processor fibers on a
-   domain pool and keeps the run bit-identical to {!sched_run} with a
-   two-pass split: pass 1 executes the engine bodies in parallel but logs
-   every transport mutation as a deferred operation per lane (processor),
-   delivering messages through a (channel, seq)-keyed concurrent mailbox;
-   pass 2 replays the logs through the sequential scheduler, committing
-   counters, mailbox evolution, traces, metrics and operation points in
-   exactly the sequential interleaving. Pass 1 is sound because message
-   delivery is sequence-matched (never availability-ordered), every
-   channel has a single sending processor, and all clock arithmetic is a
-   deterministic function of per-lane execution — so values, clocks and
-   the logged operations are independent of domain interleaving. *)
-
-exception Cancelled
-(* unwinds lanes parked forever when the parallel pass detects a stall;
-   the replay pass then reproduces the sequential {!Deadlock} diagnosis *)
-
-type lane_op =
-  | OSend of (unit -> unit)  (* captured transport commit *)
-  | ORecv of { rk : key; rseq : int; rt0 : float; rt1 : float }
-  | OReduce of { zop : Spmd.reduce_op; zmine : float; zt0 : float }
-  | OReduceArr of { aname : string; aop : Spmd.reduce_op; at0 : float }
-  | OPendRecv of { pk : key; pt0 : float }  (* parked at stall time *)
-
-type lane = {
-  l_pid : int;
-  mutable l_log : lane_op list;  (* reversed; replay walks List.rev *)
-  l_sseq : (key, int) Hashtbl.t;
-      (* lane-local send sequence numbers: every channel has exactly one
-         sending processor, so these match [tr_send_seq] of a sequential
-         run without touching shared state *)
-  l_rseq : (key, int) Hashtbl.t;  (* lane-local receive cursors *)
-  l_post : key -> msg -> unit;  (* publish an original to the pass-1 mail *)
-}
-
-(* set for the duration of every lane start/resume in pass 1; [send] and
-   [trace_recv] check it to defer their transport mutations *)
-let lane_key : lane option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
 (** Complete a send: decide contiguity (§3.3 compile-time proof or runtime
     check), charge packing / send CPU, apply the deterministic fault plan
     (drops with retransmit pricing, delay, duplication, reordering), and
     enqueue on the channel. [tick] charges CPU time to the sending
-    processor; [get_clock] reads its clock after those charges.
-
-    Under a parallel lane the clock charges and fault plan are computed
-    immediately (they are lane-local), the message is published to the
-    parallel mailbox, and every transport mutation is captured in an
-    {!OSend} commit replayed by pass 2. *)
+    processor; [get_clock] reads its clock after those charges. *)
 let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
     ~rect (pl : payload) : unit =
   let m = tr.tr_machine in
@@ -584,16 +536,8 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
   let local = dst_pid = pid in
   if local then tick (float_of_int n *. m.Machine.pack_time)
   else tick m.Machine.send_overhead;
-  let lane = Domain.DLS.get lane_key in
   let k = { k_event = event; k_src = src_vp; k_dst = dst_vp } in
-  let seq =
-    match lane with
-    | None -> Option.value (Hashtbl.find_opt tr.tr_send_seq k) ~default:0
-    | Some l ->
-        let s = Option.value (Hashtbl.find_opt l.l_sseq k) ~default:0 in
-        Hashtbl.replace l.l_sseq k (s + 1);
-        s
-  in
+  let seq = Option.value (Hashtbl.find_opt tr.tr_send_seq k) ~default:0 in
   let plan =
     match tr.tr_faults with
     | Some sp when not local -> Fault.plan sp ~event ~src:pid ~dst:dst_pid ~seq
@@ -605,8 +549,7 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
      so results are unaffected *)
   if plan.Fault.mp_drops > 0 then
     tick (float_of_int plan.Fault.mp_drops *. m.Machine.retry_overhead);
-  (* every later clock read in the sequential path sees this same value:
-     no charge is issued past this point *)
+  (* no charge is issued past this point: [tfin] is the sender's final clock *)
   let tfin = get_clock () in
   let wire = Machine.msg_time m n in
   let arrival =
@@ -617,82 +560,72 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
       +. (plan.Fault.mp_delay *. wire)
   in
   let msg = { m_seq = seq; m_arrival = arrival; m_payload = pl; m_contig = contig } in
-  let commit () =
-    if not local then begin
-      tr.tr_c.n_msgs <- tr.tr_c.n_msgs + 1;
-      tr.tr_c.n_bytes <- tr.tr_c.n_bytes + (n * m.Machine.elem_bytes);
-      tr.tr_c.n_elems <- tr.tr_c.n_elems + n
-    end;
-    Hashtbl.replace tr.tr_send_seq k (seq + 1);
-    if plan.Fault.mp_drops > 0 then begin
-      tr.tr_c.n_timeouts <- tr.tr_c.n_timeouts + plan.Fault.mp_drops;
-      tr.tr_c.n_retransmits <- tr.tr_c.n_retransmits + plan.Fault.mp_drops
-    end;
-    let q =
-      match Hashtbl.find_opt tr.tr_mailbox k with
-      | Some q -> q
-      | None ->
-          let q = ref [] in
-          Hashtbl.replace tr.tr_mailbox k q;
-          q
-    in
-    (* transport order: a reordered message jumps ahead of traffic already
-       in flight on its channel; delivery still matches sequence numbers *)
-    if plan.Fault.mp_reorder then q := msg :: !q else q := !q @ [ msg ];
-    if plan.Fault.mp_dup then
-      q := !q @ [ { msg with m_arrival = arrival +. wire } ];
-    let depth = List.length !q in
-    if depth > tr.tr_c.n_max_mbox then tr.tr_c.n_max_mbox <- depth;
-    (match tr.tr_metrics with
-    | None -> ()
-    | Some sm ->
-        (* reads only: the clock delta charged above and the payload size *)
-        sm.sm_send_t.(pid) <- sm.sm_send_t.(pid) +. (tfin -. tt0);
-        let msgs, elems = metrics_cell sm ~event ~src:pid ~dst:dst_pid in
-        Stdlib.incr msgs;
-        elems := !elems + n;
-        let cell = (pid * sm.sm_nprocs) + dst_pid in
-        sm.sm_mx_msgs.(cell) <- sm.sm_mx_msgs.(cell) + 1;
-        sm.sm_mx_elems.(cell) <- sm.sm_mx_elems.(cell) + n;
-        sm.sm_retrans.(pid) <- sm.sm_retrans.(pid) + plan.Fault.mp_drops;
-        if local then begin
-          sm.sm_local_msgs <- sm.sm_local_msgs + 1;
-          sm.sm_local_elems <- sm.sm_local_elems + n
-        end
-        else
-          Obs.Metrics.observe sm.sm_msg_bytes
-            (float_of_int (n * m.Machine.elem_bytes)));
-    (match tr.tr_trace with
-    | None -> ()
-    | Some tw ->
-        trace_slice tw ~tid:pid ~t0:tt0 ~t1:tfin ~cat:"comm"
-          ~args:
-            [ ("dst_pid", Obs.Int dst_pid);
-              ("seq", Obs.Int seq);
-              ("elems", Obs.Int n);
-              ("bytes", Obs.Int (n * m.Machine.elem_bytes));
-              ("contig", Obs.Bool contig);
-              ("local", Obs.Bool local);
-              ("drops", Obs.Int plan.Fault.mp_drops) ]
-          (Printf.sprintf "send e%d" event);
-        (* flow arrows only for network messages, so the number of flow
-           starts equals the transport's point-to-point message counter;
-           local copies have a slice but no arrow *)
-        if not local then begin
-          let fid = Obs.next_flow_id () in
-          Hashtbl.replace tw.tw_flow (k, seq) fid;
-          Obs.flow_start ~pid:tw.tw_pid ~tid:pid ~ts:(us tt0) ~id:fid "msg"
-        end);
-    op_point tr ~pid ~clock:tfin
+  if not local then begin
+    tr.tr_c.n_msgs <- tr.tr_c.n_msgs + 1;
+    tr.tr_c.n_bytes <- tr.tr_c.n_bytes + (n * m.Machine.elem_bytes);
+    tr.tr_c.n_elems <- tr.tr_c.n_elems + n
+  end;
+  Hashtbl.replace tr.tr_send_seq k (seq + 1);
+  if plan.Fault.mp_drops > 0 then begin
+    tr.tr_c.n_timeouts <- tr.tr_c.n_timeouts + plan.Fault.mp_drops;
+    tr.tr_c.n_retransmits <- tr.tr_c.n_retransmits + plan.Fault.mp_drops
+  end;
+  let q =
+    match Hashtbl.find_opt tr.tr_mailbox k with
+    | Some q -> q
+    | None ->
+        let q = ref [] in
+        Hashtbl.replace tr.tr_mailbox k q;
+        q
   in
-  match lane with
-  | None -> commit ()
-  | Some l ->
-      (* the original (never the duplicate, never reordered — delivery is
-         keyed by sequence number) becomes visible to the receiving lane;
-         all bookkeeping waits for the replay pass *)
-      l.l_post k msg;
-      l.l_log <- OSend commit :: l.l_log
+  (* transport order: a reordered message jumps ahead of traffic already
+     in flight on its channel; delivery still matches sequence numbers *)
+  if plan.Fault.mp_reorder then q := msg :: !q else q := !q @ [ msg ];
+  if plan.Fault.mp_dup then
+    q := !q @ [ { msg with m_arrival = arrival +. wire } ];
+  let depth = List.length !q in
+  if depth > tr.tr_c.n_max_mbox then tr.tr_c.n_max_mbox <- depth;
+  (match tr.tr_metrics with
+  | None -> ()
+  | Some sm ->
+      (* reads only: the clock delta charged above and the payload size *)
+      sm.sm_send_t.(pid) <- sm.sm_send_t.(pid) +. (tfin -. tt0);
+      let msgs, elems = metrics_cell sm ~event ~src:pid ~dst:dst_pid in
+      Stdlib.incr msgs;
+      elems := !elems + n;
+      let cell = (pid * sm.sm_nprocs) + dst_pid in
+      sm.sm_mx_msgs.(cell) <- sm.sm_mx_msgs.(cell) + 1;
+      sm.sm_mx_elems.(cell) <- sm.sm_mx_elems.(cell) + n;
+      sm.sm_retrans.(pid) <- sm.sm_retrans.(pid) + plan.Fault.mp_drops;
+      if local then begin
+        sm.sm_local_msgs <- sm.sm_local_msgs + 1;
+        sm.sm_local_elems <- sm.sm_local_elems + n
+      end
+      else
+        Obs.Metrics.observe sm.sm_msg_bytes
+          (float_of_int (n * m.Machine.elem_bytes)));
+  (match tr.tr_trace with
+  | None -> ()
+  | Some tw ->
+      trace_slice tw ~tid:pid ~t0:tt0 ~t1:tfin ~cat:"comm"
+        ~args:
+          [ ("dst_pid", Obs.Int dst_pid);
+            ("seq", Obs.Int seq);
+            ("elems", Obs.Int n);
+            ("bytes", Obs.Int (n * m.Machine.elem_bytes));
+            ("contig", Obs.Bool contig);
+            ("local", Obs.Bool local);
+            ("drops", Obs.Int plan.Fault.mp_drops) ]
+        (Printf.sprintf "send e%d" event);
+      (* flow arrows only for network messages, so the number of flow
+         starts equals the transport's point-to-point message counter;
+         local copies have a slice but no arrow *)
+      if not local then begin
+        let fid = Obs.next_flow_id () in
+        Hashtbl.replace tw.tw_flow (k, seq) fid;
+        Obs.flow_start ~pid:tw.tw_pid ~tid:pid ~ts:(us tt0) ~id:fid "msg"
+      end);
+  op_point tr ~pid ~clock:tfin
 
 (** Trace a completed receive: [t0] is the receiver's clock when it
     blocked, [t1] its clock after arrival synchronization and unpack
@@ -700,13 +633,6 @@ let send tr ~tick ~get_clock ~pid ~dst_pid ~event ~src_vp ~dst_vp ~inplace
     send's flow arrow. Both engines call this from their [Recv]
     implementations; a no-op when the transport is untraced. *)
 let trace_recv tr ~tid ~t0 ~t1 (k : key) (msg : msg) : unit =
-  match Domain.DLS.get lane_key with
-  | Some l ->
-      (* parallel lane: record the receive (park and completion clocks) so
-         the replay pass re-performs it and emits the metrics and trace
-         side effects in the sequential interleaving *)
-      l.l_log <- ORecv { rk = k; rseq = msg.m_seq; rt0 = t0; rt1 = t1 } :: l.l_log
-  | None -> (
   (match tr.tr_metrics with
   | None -> ()
   | Some sm ->
@@ -727,7 +653,7 @@ let trace_recv tr ~tid ~t0 ~t1 (k : key) (msg : msg) : unit =
       | Some fid ->
           Hashtbl.remove tw.tw_flow (k, msg.m_seq);
           Obs.flow_end ~pid:tw.tw_pid ~tid ~ts:(us t1) ~id:fid "msg"
-      | None -> ()))
+      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint images                                                    *)
@@ -1223,412 +1149,6 @@ let sched_run (h : hooks) : unit =
            dg_undelivered = undelivered;
            dg_max_mailbox = tr.tr_c.n_max_mbox;
          })
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel scheduler: lanes across a domain pool + sequential replay   *)
-(* ------------------------------------------------------------------ *)
-
-(* a collective rendezvous: at most one is open at any time (a lane
-   cannot pass a collective before every lane reaches it), so a single
-   current-slot reference suffices; lanes keep their own reference, which
-   stays valid after the slot fires and a new one opens *)
-type coll_slot = {
-  mutable sl_sc : (int * Spmd.reduce_op * float) list;  (* scalar arrivals *)
-  mutable sl_ar : (int * string * Spmd.reduce_op) list;  (* array arrivals *)
-  mutable sl_fired : bool;
-  mutable sl_scalar : float;  (* combined value, scalar collectives *)
-  mutable sl_tdone : float;
-}
-
-type lane_state =
-  | LStart
-  | LRecv of key * (msg, unit) Effect.Deep.continuation
-  | LReduce of coll_slot * (float, unit) Effect.Deep.continuation
-  | LReduceArr of coll_slot * (unit, unit) Effect.Deep.continuation
-  | LDone
-
-let sched_run_par ?(domains = 1) (h : hooks) : unit =
-  let tr = h.h_tr in
-  let nprocs = h.h_nprocs in
-  if
-    domains <= 1 || nprocs <= 1
-    || tr.tr_crash <> None
-    || tr.tr_ckpt_every > 0
-    || tr.tr_max_events > 0
-  then
-    (* exactly today's code path: single domain, or a crash/checkpoint/
-       watchdog run, whose mid-run transport captures and op-indexed crash
-       schedules are inherently sequential *)
-    sched_run h
-  else begin
-    let machine = tr.tr_machine in
-    let nd = min domains nprocs in
-    let mu = Mutex.create () in
-    let cond = Condition.create () in
-    (* progress epoch: bumped on every publication that can unblock another
-       domain (message post, collective firing); idlers re-sweep when it
-       moves and park on [cond] while it does not *)
-    let seqno = ref 0 in
-    let mail : (key * int, msg) Hashtbl.t = Hashtbl.create 256 in
-    let coll : coll_slot option ref = ref None in
-    let arr_nelems : int Queue.t = Queue.create () in
-    let n_done = ref 0 in
-    let n_idle = ref 0 in
-    let n_exited = ref 0 in
-    (* per-domain idle stamp: -1 active, -2 exited, else the epoch it went
-       to sleep at — a stall is declared only when every domain is asleep
-       at the *current* epoch, so a firing that has not yet been collected
-       by its sleeping owner can never be mistaken for a deadlock *)
-    let idle_seen = Array.make nd (-1) in
-    let abort = ref false in
-    let error : (int * exn * Printexc.raw_backtrace) option ref = ref None in
-    let init_clocks = Array.init nprocs h.h_clock in
-    let lanes =
-      Array.init nprocs (fun p ->
-          {
-            l_pid = p;
-            l_log = [];
-            l_sseq = Hashtbl.create 16;
-            l_rseq = Hashtbl.create 16;
-            l_post =
-              (fun k m ->
-                Mutex.protect mu (fun () ->
-                    Hashtbl.replace mail (k, m.m_seq) m;
-                    incr seqno;
-                    Condition.broadcast cond));
-          })
-    in
-    let record_error p e bt =
-      Mutex.protect mu (fun () ->
-          (match !error with
-          | Some (p0, _, _) when p0 <= p -> ()
-          | _ -> error := Some (p, e, bt));
-          abort := true;
-          incr seqno;
-          Condition.broadcast cond)
-    in
-    (* fire the open collective if complete; caller holds [mu]. Mirrors the
-       sequential conditions exactly: a scalar collective needs all lanes
-       in it (one terminated lane blocks it forever, as in [sched_run]);
-       an array collective likewise needs every lane. *)
-    let try_fire (s : coll_slot) =
-      if not s.sl_fired then begin
-        let max_clock () =
-          let t = ref 0.0 in
-          for p = 0 to nprocs - 1 do
-            t := Float.max !t (h.h_clock p)
-          done;
-          !t
-        in
-        if List.length s.sl_ar = nprocs then begin
-          let _, name, op =
-            List.find (fun (p, _, _) -> p = 0) s.sl_ar
-          in
-          let nelems = h.h_reduce_arr name op in
-          Queue.push nelems arr_nelems;
-          let stages =
-            if nprocs <= 1 then 0
-            else int_of_float (ceil (log (float_of_int nprocs) /. log 2.0))
-          in
-          s.sl_tdone <-
-            max_clock ()
-            +. (2.0 *. float_of_int stages *. Machine.msg_time machine nelems);
-          s.sl_fired <- true;
-          incr seqno;
-          Condition.broadcast cond
-        end
-        else if List.length s.sl_sc = nprocs then begin
-          let vals =
-            List.sort (fun (a, _, _) (b, _, _) -> compare a b) s.sl_sc
-          in
-          let op = match vals with (_, op, _) :: _ -> op | [] -> assert false in
-          s.sl_scalar <-
-            List.fold_left
-              (fun acc (_, _, v) ->
-                match op with
-                | Spmd.RSum -> acc +. v
-                | Spmd.RMax -> Float.max acc v
-                | Spmd.RMin -> Float.min acc v)
-              (match op with
-              | Spmd.RSum -> 0.0
-              | Spmd.RMax -> Float.neg_infinity
-              | Spmd.RMin -> Float.infinity)
-              vals;
-          s.sl_tdone <- max_clock () +. Machine.allreduce_time machine nprocs;
-          s.sl_fired <- true;
-          incr seqno;
-          Condition.broadcast cond
-        end
-      end
-    in
-    (* register an arrival at the current collective; caller holds [mu] *)
-    let arrive p (kind : [ `Sc of Spmd.reduce_op * float | `Ar of string * Spmd.reduce_op ])
-        : coll_slot =
-      let s =
-        match !coll with
-        | Some s when not s.sl_fired -> s
-        | _ ->
-            let s =
-              { sl_sc = []; sl_ar = []; sl_fired = false; sl_scalar = 0.0;
-                sl_tdone = 0.0 }
-            in
-            coll := Some s;
-            s
-      in
-      (match kind with
-      | `Sc (op, v) -> s.sl_sc <- (p, op, v) :: s.sl_sc
-      | `Ar (name, op) -> s.sl_ar <- (p, name, op) :: s.sl_ar);
-      try_fire s;
-      s
-    in
-    let domain_loop d =
-      let my =
-        Array.of_list
-          (List.filter
-             (fun p -> p mod nd = d)
-             (List.init nprocs (fun p -> p)))
-      in
-      let st = Array.map (fun _ -> LStart) my in
-      let set_state i v = st.(i) <- v in
-      (* run a lane step (start, resume or cancel) with its DLS marker
-         installed; lane exceptions abort the whole run — Cancelled is the
-         abort unwind itself and stays silent *)
-      let lane_step p f =
-        Domain.DLS.set lane_key (Some lanes.(p));
-        Fun.protect ~finally:(fun () -> Domain.DLS.set lane_key None) f
-      in
-      let start i p =
-        let open Effect.Deep in
-        match_with
-          (fun () -> h.h_body p)
-          ()
-          {
-            retc =
-              (fun () ->
-                set_state i LDone;
-                Mutex.protect mu (fun () -> incr n_done));
-            exnc = (fun e -> raise e);
-            effc =
-              (fun (type c) (eff : c Effect.t) ->
-                match eff with
-                | ERecv k ->
-                    Some
-                      (fun (cont : (c, unit) continuation) ->
-                        set_state i (LRecv (k, cont)))
-                | EReduce (op, v) ->
-                    Some
-                      (fun (cont : (c, unit) continuation) ->
-                        let s =
-                          Mutex.protect mu (fun () ->
-                              lanes.(p).l_log <-
-                                OReduce
-                                  { zop = op; zmine = v; zt0 = h.h_clock p }
-                                :: lanes.(p).l_log;
-                              arrive p (`Sc (op, v)))
-                        in
-                        set_state i (LReduce (s, cont)))
-                | EReduceArr (name, op) ->
-                    Some
-                      (fun (cont : (c, unit) continuation) ->
-                        let s =
-                          Mutex.protect mu (fun () ->
-                              lanes.(p).l_log <-
-                                OReduceArr
-                                  { aname = name; aop = op; at0 = h.h_clock p }
-                                :: lanes.(p).l_log;
-                              arrive p (`Ar (name, op)))
-                        in
-                        set_state i (LReduceArr (s, cont)))
-                | _ -> None);
-          }
-      in
-      let all_done () = Array.for_all (function LDone -> true | _ -> false) st in
-      (try
-         while (not (all_done ())) && not !abort do
-           (* the epoch is read before the sweep: a publication landing
-              mid-sweep moves it, so the no-progress re-check under the
-              lock cannot miss a message the sweep was too early to see *)
-           let seen = Mutex.protect mu (fun () -> !seqno) in
-           let progressed = ref false in
-           Array.iteri
-             (fun i p ->
-               if not !abort then
-                 match st.(i) with
-                 | LStart ->
-                     progressed := true;
-                     lane_step p (fun () -> start i p)
-                 | LRecv (k, cont) -> (
-                     let expected =
-                       Option.value
-                         (Hashtbl.find_opt lanes.(p).l_rseq k)
-                         ~default:0
-                     in
-                     let m =
-                       Mutex.protect mu (fun () ->
-                           match Hashtbl.find_opt mail (k, expected) with
-                           | Some m ->
-                               Hashtbl.remove mail (k, expected);
-                               Some m
-                           | None -> None)
-                     in
-                     match m with
-                     | Some m ->
-                         Hashtbl.replace lanes.(p).l_rseq k (expected + 1);
-                         progressed := true;
-                         set_state i LDone;
-                         (* placeholder; handler overwrites on next block *)
-                         lane_step p (fun () -> Effect.Deep.continue cont m)
-                     | None -> ())
-                 | LReduce (s, cont) ->
-                     if s.sl_fired then begin
-                       progressed := true;
-                       h.h_set_clock p s.sl_tdone;
-                       set_state i LDone;
-                       lane_step p (fun () ->
-                           Effect.Deep.continue cont s.sl_scalar)
-                     end
-                 | LReduceArr (s, cont) ->
-                     if s.sl_fired then begin
-                       progressed := true;
-                       h.h_set_clock p s.sl_tdone;
-                       set_state i LDone;
-                       lane_step p (fun () -> Effect.Deep.continue cont ())
-                     end
-                 | LDone -> ())
-             my;
-           if (not !progressed) && not (all_done ()) then
-             Mutex.protect mu (fun () ->
-                 (* an epoch moved since the sweep started means it may
-                    have missed a publication: re-sweep instead of sleeping *)
-                 if !seqno = seen && not !abort then begin
-                   idle_seen.(d) <- seen;
-                   incr n_idle;
-                   if
-                     !n_idle + !n_exited = nd
-                     && !n_done < nprocs
-                     && Array.for_all (fun s -> s = seen || s = -2) idle_seen
-                   then begin
-                     (* every domain is asleep at the current epoch and
-                        lanes remain blocked: a genuine stall *)
-                     abort := true;
-                     Condition.broadcast cond
-                   end
-                   else
-                     while !seqno = seen && not !abort do
-                       Condition.wait cond mu
-                     done;
-                   decr n_idle;
-                   idle_seen.(d) <- -1
-                 end)
-         done
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         (match e with
-         | Cancelled -> ()
-         | _ -> record_error d e bt));
-      (* tear down: park clocks of still-blocked lanes go on the log so the
-         replay reproduces the sequential deadlock diagnosis (collective
-         parks were logged on arrival), then unwind their fibers *)
-      if !abort then
-        Array.iteri
-          (fun i p ->
-            let cancel cont =
-              try lane_step p (fun () -> Effect.Deep.discontinue cont Cancelled)
-              with
-              | Cancelled -> ()
-              | e ->
-                  let bt = Printexc.get_raw_backtrace () in
-                  record_error p e bt
-            in
-            match st.(i) with
-            | LRecv (k, cont) ->
-                lanes.(p).l_log <-
-                  OPendRecv { pk = k; pt0 = h.h_clock p } :: lanes.(p).l_log;
-                set_state i LDone;
-                cancel cont
-            | LReduce (_, cont) ->
-                set_state i LDone;
-                cancel cont
-            | LReduceArr (_, cont) ->
-                set_state i LDone;
-                cancel cont
-            | LStart | LDone -> ())
-          my;
-      Mutex.protect mu (fun () ->
-          idle_seen.(d) <- -2;
-          incr n_exited;
-          if
-            !n_idle + !n_exited = nd
-            && !n_done < nprocs
-            && Array.for_all (fun s -> s = !seqno || s = -2) idle_seen
-          then begin
-            abort := true;
-            Condition.broadcast cond
-          end)
-    in
-    (try Par.spawn_join nd domain_loop
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       record_error nprocs e bt);
-    (match !error with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    let stalled = !abort in
-    (* pass 2: replay the lane logs through the sequential scheduler so
-       every transport mutation — counters, mailbox evolution (duplicates,
-       reordering, stale discards), sequence cursors, op points, metrics
-       and traces — happens in exactly the sequential interleaving, against
-       shadow clocks restored from the logged park/completion times *)
-    let shadow = Array.copy init_clocks in
-    let walk p =
-      List.iter
-        (function
-          | OSend commit -> commit ()
-          | ORecv { rk; rseq; rt0; rt1 } ->
-              shadow.(p) <- rt0;
-              let m = Effect.perform (ERecv rk) in
-              if m.m_seq <> rseq then
-                errf
-                  "parallel replay divergence: proc %d event %d delivered \
-                   seq %d, lane consumed seq %d"
-                  p rk.k_event m.m_seq rseq;
-              shadow.(p) <- rt1;
-              trace_recv tr ~tid:p ~t0:rt0 ~t1:rt1 rk m
-          | OReduce { zop; zmine; zt0 } ->
-              shadow.(p) <- zt0;
-              ignore (Effect.perform (EReduce (zop, zmine)) : float)
-          | OReduceArr { aname; aop; at0 } ->
-              shadow.(p) <- at0;
-              Effect.perform (EReduceArr (aname, aop))
-          | OPendRecv { pk; pt0 } ->
-              shadow.(p) <- pt0;
-              ignore (Effect.perform (ERecv pk) : msg);
-              errf "parallel replay divergence: stalled receive completed")
-        (List.rev lanes.(p).l_log)
-    in
-    let rh =
-      {
-        h with
-        h_clock = (fun p -> shadow.(p));
-        h_set_clock = (fun p t -> shadow.(p) <- t);
-        h_body = walk;
-        h_reduce_arr =
-          (fun _ _ ->
-            (* pass 1 already combined, in global collective order *)
-            Queue.pop arr_nelems);
-      }
-    in
-    if stalled then begin
-      sched_run rh;
-      (* the replay of a stalled run must stall too (raising Deadlock) *)
-      errf "parallel replay divergence: replay completed but lanes stalled"
-    end
-    else
-      match sched_run rh with
-      | () -> ()
-      | exception Deadlock _ ->
-          errf "parallel replay divergence: replay stalled on a completed run"
   end
 
 (** Sorted per-pair point-to-point table, one row per (event, src, dst)

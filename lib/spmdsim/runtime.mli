@@ -355,16 +355,3 @@ val sched_run : hooks -> unit
 (** Drive every processor fiber to completion: deliver sequence-matched
     messages, execute collectives, and raise {!Deadlock} with a structured
     diagnosis when no progress is possible. *)
-
-val sched_run_par : ?domains:int -> hooks -> unit
-(** {!sched_run} with processor lanes sharded across [domains] OCaml
-    domains. Bit-identical to the sequential scheduler in element values,
-    clocks, transport counters, metrics and traces: lanes advance in
-    parallel between communication points against a (channel, sequence)-
-    keyed concurrent mailbox while logging every transport mutation, and a
-    sequential replay pass then commits those mutations — mailbox
-    evolution, duplicate discards, operation points, trace slices — in
-    exactly the sequential interleaving. [domains <= 1], a single
-    processor, or an installed crash schedule / checkpoint trigger /
-    watchdog bound falls back to {!sched_run} unchanged.
-    @raise Deadlock as {!sched_run}, with the identical diagnosis. *)

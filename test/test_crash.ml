@@ -246,7 +246,7 @@ let test_diffcheck_crashes () =
     (fun (name, src) ->
       let chk = Hpf.Sema.analyze_source src in
       match Spmdsim.Diffcheck.crashes ~ckpt_every:8 ~seeds:[ 1; 2; 3 ] chk with
-      | Spmdsim.Diffcheck.Pass { runs } ->
+      | Spmdsim.Diffcheck.Pass { runs; _ } ->
           Alcotest.(check int) (name ^ ": every seed on both engines compared") 6 runs
       | out ->
           Alcotest.fail (Fmt.str "%s: %a" name Spmdsim.Diffcheck.pp_outcome out))

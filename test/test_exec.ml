@@ -234,7 +234,7 @@ let test_ownership_interp_engine () =
 let test_engines_agree_gauss () =
   let chk = Hpf.Sema.analyze_source (Codes.gauss ()) in
   match Spmdsim.Diffcheck.engines ~nprocs:4 ~seeds:[ 7 ] chk with
-  | Spmdsim.Diffcheck.Pass { runs } -> Alcotest.(check int) "runs" 2 runs
+  | Spmdsim.Diffcheck.Pass { runs; _ } -> Alcotest.(check int) "runs" 2 runs
   | out -> Alcotest.failf "%a" Spmdsim.Diffcheck.pp_outcome out
 
 let test_serial_interpreter () =
@@ -523,7 +523,7 @@ let test_closure_allocation () =
   List.iter
     (fun (name, src, nprocs, ceiling) ->
       let prog = (compile src).Gen.cprog in
-      let sim = Spmdsim.Exec.make ~engine:`Closure ~domains:1 ~nprocs prog in
+      let sim = Spmdsim.Exec.make ~engine:`Closure ~nprocs prog in
       let w0 = Gc.minor_words () in
       ignore (Spmdsim.Exec.run sim);
       let words = Gc.minor_words () -. w0 in

@@ -140,7 +140,7 @@ let test_diffcheck_oracle () =
     (fun (name, src) ->
       let chk = Hpf.Sema.analyze_source src in
       match Spmdsim.Diffcheck.run ~seeds:[ 1; 2; 3 ] chk with
-      | Spmdsim.Diffcheck.Pass { runs } ->
+      | Spmdsim.Diffcheck.Pass { runs; _ } ->
           Alcotest.(check int) (name ^ ": all runs compared") 4 runs
       | out -> Alcotest.fail (Fmt.str "%s: %a" name Spmdsim.Diffcheck.pp_outcome out))
     [ ("jacobi", jacobi ()); ("gauss", gauss ()) ]

@@ -382,6 +382,31 @@ let test_cache_hit () =
   Obs.Metrics.disable ();
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* the --diff-engines report says what it compared, and a divergence
+   names the engine that produced the wrong value *)
+let test_report_texts () =
+  let chk = Hpf.Sema.analyze_source (List.assoc "jacobi" (Codes.all_small ())) in
+  Alcotest.(check string)
+    "success line"
+    "diffcheck: 2 run(s): the closure and native engines matched the \
+     interpreter bit for bit"
+    (Fmt.str "%a" Spmdsim.Diffcheck.pp_outcome
+       (Spmdsim.Diffcheck.engines ~seeds:[ 7 ] chk));
+  Alcotest.(check string)
+    "divergence line"
+    "diffcheck: DIVERGENCE in the native engine: a(3,4): expected 1.5, got 2 \
+     (fault seed 7)"
+    (Fmt.str "%a" Spmdsim.Diffcheck.pp_outcome
+       (Spmdsim.Diffcheck.Diverged
+          {
+            dv_seed = Some 7;
+            dv_engine = `Native;
+            dv_array = "a";
+            dv_index = [ 3; 4 ];
+            dv_expected = 1.5;
+            dv_got = 2.0;
+          }))
+
 let () =
   Alcotest.run "native"
     [
@@ -393,6 +418,7 @@ let () =
           Alcotest.test_case "identical error texts" `Slow test_error_texts;
           Alcotest.test_case "clobbered loop variables stay checked" `Quick
             test_clobbered_loop_vars;
+          Alcotest.test_case "diff-engines report texts" `Slow test_report_texts;
         ] );
       ( "random",
         List.map QCheck_alcotest.to_alcotest [ prop_three_way_random ] );

@@ -1,9 +1,8 @@
 (* The domain-parallel stack: Par pool combinators, lock-free
    observability counters under concurrent mutation, parallel compiler
-   determinism (byte-identical output at any domain count), and the
-   domain-differential simulator contract (bit-identical runs when
-   processor lanes are sharded across a pool — including an
-   oversubscribed one; this host may well have a single core).
+   determinism (byte-identical output at any domain count, including an
+   oversubscribed pool), and simulations run concurrently in pool
+   domains, as the serve daemon's workers run them.
 
    Everything here deliberately runs MORE domains than cores when the
    host is small: the contracts are about interleaving, not speed. *)
@@ -115,42 +114,58 @@ let test_compile_deterministic () =
         [ 2; 3; 4 ])
     benchmarks
 
-(* ---- domain-differential simulator runs ---- *)
+(* ---- concurrent simulations: bit-identical to a main-domain run ---- *)
 
-let outcome_ok name = function
-  | Spmdsim.Diffcheck.Pass _ -> ()
-  | out ->
-      Alcotest.failf "%s: %a" name Spmdsim.Diffcheck.pp_outcome out
+(* Everything a run exposes: every stat (simulated time and each
+   processor's clock as bits), the comm table and the full value image
+   (clocks, bindings, every resident element, transport state). *)
+let sim_digest ?domains ?faults (name, prog) =
+  let nprocs = if name = "sp_like" then 6 else 4 in
+  let sim = Spmdsim.Exec.make ?domains ?faults ~nprocs prog in
+  let st = Spmdsim.Exec.run sim in
+  ( Int64.bits_of_float st.Spmdsim.Exec.s_time,
+    Array.map Int64.bits_of_float (Spmdsim.Exec.clocks sim),
+    { st with s_time = 0.0; s_proc_times = [||] },
+    Spmdsim.Exec.comm_cells sim,
+    Spmdsim.Exec.capture sim )
 
-let test_sim_domains () =
-  List.iter
-    (fun (name, src) ->
-      let chk = Hpf.Sema.analyze_source src in
-      let nprocs = if name = "sp_like" then 6 else 4 in
-      outcome_ok name
-        (Spmdsim.Diffcheck.domains ~nprocs ~domain_counts:[ 2; 4 ]
-           ~seeds:[ 5 ] chk))
-    benchmarks
-
-let test_sim_domains_interp () =
-  let chk = Hpf.Sema.analyze_source (Codes.jacobi ~n:14 ~iters:2 ()) in
-  outcome_ok "jacobi/interp"
-    (Spmdsim.Diffcheck.domains ~engine:`Interp ~nprocs:4
-       ~domain_counts:[ 3 ] ~seeds:[ 9 ] chk)
-
-(* metrics instrumentation must not perturb the parallel scheduler, and
-   the per-pair communication table must be identical at every count *)
-let test_sim_domains_metered () =
+(* serve workers run one simulation per domain at the same time: the
+   runtime must keep no state that one run can perturb in another. The
+   ignored [?domains] of [Exec.make] must not change a run either. *)
+let test_sim_concurrent () =
   Obs.Metrics.enable ();
-  let chk = Hpf.Sema.analyze_source (Codes.erlebacher ~n:10 ()) in
-  outcome_ok "erlebacher/metered"
-    (Spmdsim.Diffcheck.domains ~nprocs:4 ~domain_counts:[ 2; 4 ]
-       ~seeds:[ 3 ] chk)
+  let jobs =
+    Array.of_list
+      (List.concat_map
+         (fun (name, src) ->
+           let chk = Hpf.Sema.analyze_source src in
+           let prog = (Dhpf.Gen.compile ~domains:1 chk).Dhpf.Gen.cprog in
+           [
+             ((name, prog), None);
+             ((name, prog), Some (Spmdsim.Fault.default ~seed:7));
+           ])
+         benchmarks)
+  in
+  let serial = Array.map (fun (p, faults) -> sim_digest ?faults p) jobs in
+  let concurrent =
+    Par.map ~domains:4 (Array.length jobs) (fun i ->
+        let p, faults = jobs.(i) in
+        sim_digest ~domains:2 ?faults p)
+  in
+  Array.iteri
+    (fun i ((name, _), faults) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s%s: run in a pool domain equals the main-domain run"
+           name
+           (if faults = None then "" else " (fault seed 7)"))
+        true
+        (concurrent.(i) = serial.(i)))
+    jobs
 
-(* ---- the property: random programs x faults x domain counts ---- *)
+(* ---- the property: random programs x domain counts ---- *)
 
 (* reuses the generator design of test_random.ml in reduced form: the
-   point here is the scheduler and compiler pool, not stencil coverage *)
+   point here is the compiler pool, not stencil coverage *)
 type spec = {
   sp_dist : [ `BlockStar | `BlockBlock | `CyclicStar ];
   sp_shift : int * int;
@@ -202,26 +217,18 @@ let arb_spec = QCheck.make ~print:src_of_spec gen_spec
 
 let prop_domains =
   QCheck.Test.make ~count:12
-    ~name:
-      "random programs: parallel compile is identical and sharded runs \
-       are bit-identical under faults"
+    ~name:"random programs: parallel compile is identical at 1 and 4 domains"
     arb_spec
     (fun spec ->
       let src = src_of_spec spec in
       match Hpf.Sema.analyze_source src with
       | chk -> (
           match
-            let c1 = (Dhpf.Gen.compile ~domains:1 chk).Dhpf.Gen.cprog in
-            let c4 = (Dhpf.Gen.compile ~domains:4 chk).Dhpf.Gen.cprog in
-            if c1 <> c4 then
-              QCheck.Test.fail_report "parallel compile diverged"
-            else
-              Spmdsim.Diffcheck.domains ~domain_counts:[ 2; 4 ]
-                ~seeds:[ 1; 2 ] chk
+            ( (Dhpf.Gen.compile ~domains:1 chk).Dhpf.Gen.cprog,
+              (Dhpf.Gen.compile ~domains:4 chk).Dhpf.Gen.cprog )
           with
-          | Spmdsim.Diffcheck.Pass _ -> true
-          | out ->
-              QCheck.Test.fail_reportf "%a" Spmdsim.Diffcheck.pp_outcome out
+          | c1, c4 ->
+              c1 = c4 || QCheck.Test.fail_report "parallel compile diverged"
           | exception Dhpf.Gen.Unsupported _ -> QCheck.assume_fail ()
           | exception Dhpf.Layout.Unsupported _ -> QCheck.assume_fail ())
       | exception Hpf.Sema.Error _ -> QCheck.assume_fail ())
@@ -250,12 +257,8 @@ let () =
         ] );
       ( "simulator",
         [
-          Alcotest.test_case "bit-identical sharded runs (all benchmarks)"
-            `Slow test_sim_domains;
-          Alcotest.test_case "interpreter engine too" `Quick
-            test_sim_domains_interp;
-          Alcotest.test_case "metered runs and comm cells" `Quick
-            test_sim_domains_metered;
+          Alcotest.test_case "concurrent runs in pool domains bit-identical"
+            `Quick test_sim_concurrent;
         ] );
       ( "property",
         [ QCheck_alcotest.to_alcotest prop_domains ] );
